@@ -25,7 +25,14 @@
 //! and reports the per-pattern speedup under `"incremental"` in the
 //! JSON.
 //!
-//! Four invariants are *asserted* on every run (and gate CI via
+//! A third section runs the **level-3** sum through
+//! `LevelEvaluator`, whose levels ≥ 2 read single-site subtrees from a
+//! per-run memo and recompute only the tree nodes with two or more
+//! non-dominant sites below them, and reports contraction steps per
+//! pattern for delta replay and for the memoized replay under
+//! `"memo"` in the JSON.
+//!
+//! Six invariants are *asserted* on every run (and gate CI via
 //! `--smoke`):
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -35,13 +42,18 @@
 //! 3. delta replay's pattern sum is **bit-identical** to the full
 //!    compiled replay of the same Gray sequence, and
 //! 4. the delta path's warmed timing pass performs **zero
-//!    allocations**.
+//!    allocations**,
+//! 5. the evaluator's level-3 contribution is **bit-identical** to the
+//!    reference-path sum of the same Gray-ordered patterns, and
+//! 6. the memoized level-3 pass performs **zero workspace
+//!    allocations** after the lower levels have warmed the evaluator.
 
 use qns_bench::registry::{default_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
 use qns_bench::{arg_flag, arg_usize, print_row};
+use qns_core::approx::ApproxOptions;
 use qns_core::patterns::GrayPatternStream;
-use qns_core::NoiseSvd;
+use qns_core::{LevelEvaluator, NoiseSvd};
 use qns_linalg::{Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
@@ -57,6 +69,9 @@ use std::io::Write;
 /// approximation evaluator performs.
 struct Workload {
     name: String,
+    noisy: NoisyCircuit,
+    psi: ProductState,
+    v: ProductState,
     upper: AmplitudeSkeleton,
     lower: AmplitudeSkeleton,
     up_plan: qns_tnet::plan::ContractionPlan,
@@ -99,6 +114,9 @@ fn build_workload(bench: &BenchCircuit, noises: usize, seed: u64) -> Workload {
         .collect();
     Workload {
         name: bench.name.clone(),
+        noisy,
+        psi,
+        v,
         up_exec: up_plan.compile(),
         lo_exec: lo_plan.compile(),
         upper,
@@ -176,15 +194,78 @@ fn run_compiled(w: &mut Workload, patterns: &[Vec<usize>]) -> (PathResult, u64) 
 /// patterns differ in at most two sites (three across a level
 /// boundary, since the per-level streams chain).
 fn gray_patterns(n_sites: usize, level: usize) -> Vec<Vec<usize>> {
+    (0..=level.min(n_sites))
+        .flat_map(|u| gray_level(n_sites, u))
+        .collect()
+}
+
+/// The level-`u` patterns alone, in Gray order.
+fn gray_level(n_sites: usize, u: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut pat = vec![0usize; n_sites];
-    for u in 0..=level.min(n_sites) {
-        let mut stream = GrayPatternStream::new(n_sites, u);
-        while stream.next_into(&mut pat) {
-            out.push(pat.clone());
-        }
+    let mut stream = GrayPatternStream::new(n_sites, u);
+    while stream.next_into(&mut pat) {
+        out.push(pat.clone());
     }
     out
+}
+
+/// One workload's level-3 comparison: delta replay and the memoized
+/// `LevelEvaluator` pass over the same Gray-ordered patterns.
+struct MemoRow {
+    name: String,
+    patterns: usize,
+    delta_us: f64,
+    memo_us: f64,
+    delta_steps: f64,
+    memo_steps: f64,
+}
+
+/// Runs the level-`level` patterns through delta replay and through a
+/// sequential `LevelEvaluator` (levels below `level` warm it and build
+/// its memo), asserting the evaluator's contribution equals the
+/// reference-path sum bit for bit and that its memoized pass grows no
+/// workspace.
+fn memo_row(w: &mut Workload, level: usize) -> MemoRow {
+    let pats = gray_level(w.payloads.len(), level);
+    let n_pats = pats.len().max(1) as f64;
+    let reference = run_reference(w, &pats);
+
+    let mut st = DeltaState::new(w);
+    let _ = run_delta_pass(w, &mut st, &pats);
+    let (delta, delta_steps) = run_delta_pass(w, &mut st, &pats);
+
+    let opts = ApproxOptions::default().with_level(level);
+    let mut eval =
+        LevelEvaluator::new(&w.noisy, &w.psi, &w.v, &opts).expect("bench workload is valid");
+    for _ in 0..level {
+        eval.advance().expect("lower level");
+    }
+    let warm_allocs = eval.workspace_allocations();
+    let steps_before = eval.stats().contractions;
+    let (partial, seconds) = time_it(|| eval.advance().expect("top level"));
+    let memo_steps = eval.stats().contractions - steps_before;
+
+    assert_eq!(
+        partial.level_contribution.to_bits(),
+        reference.sum.re.to_bits(),
+        "{}: level-{level} contribution must be bit-identical to the reference-path sum",
+        w.name
+    );
+    assert_eq!(
+        eval.workspace_allocations(),
+        warm_allocs,
+        "{}: memoized level-{level} pass allocated workspace memory",
+        w.name
+    );
+    MemoRow {
+        name: w.name.clone(),
+        patterns: pats.len(),
+        delta_us: delta.seconds * 1e6 / n_pats,
+        memo_us: seconds * 1e6 / n_pats,
+        delta_steps: delta_steps as f64 / n_pats,
+        memo_steps: memo_steps as f64 / n_pats,
+    }
 }
 
 /// Mutable state of the delta path: the installed assignment plus one
@@ -428,6 +509,42 @@ fn main() {
         .powf(1.0 / inc_rows.len().max(1) as f64);
     println!("\ngeometric-mean incremental speedup: {inc_geomean:.2}x");
 
+    // ── Memoized level-3 sum vs delta replay ──
+    // Levels ≥ 2 read every subtree with at most one non-dominant site
+    // from the evaluator's per-run memo; only nodes with two or more
+    // such sites below them are recomputed.
+    let memo_level = 3usize.min(noises);
+    println!("\nmemoized (level {memo_level}, LevelEvaluator) vs delta replay\n");
+    let memo_widths = [14usize, 10, 14, 14, 12, 12];
+    print_row(
+        &[
+            "workload".into(),
+            "patterns".into(),
+            "delta µs/pat".into(),
+            "memo µs/pat".into(),
+            "delta steps".into(),
+            "memo steps".into(),
+        ],
+        &memo_widths,
+    );
+    let mut memo_rows = Vec::new();
+    for (i, bench) in set.iter().enumerate() {
+        let mut w = build_workload(bench, noises, 0xC047 + i as u64);
+        let row = memo_row(&mut w, memo_level);
+        print_row(
+            &[
+                row.name.clone(),
+                row.patterns.to_string(),
+                format!("{:.1}", row.delta_us),
+                format!("{:.1}", row.memo_us),
+                format!("{:.2}", row.delta_steps),
+                format!("{:.2}", row.memo_steps),
+            ],
+            &memo_widths,
+        );
+        memo_rows.push(row);
+    }
+
     let mut per = String::new();
     for (i, (name, r, e, s)) in rows.iter().enumerate() {
         if i > 0 {
@@ -450,13 +567,26 @@ fn main() {
              \"delta_steps_per_pattern\":{dsteps:.2}}}"
         ));
     }
+    let memo_per: Vec<String> = memo_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"workload\":\"{}\",\"patterns\":{},\"delta_us_per_pattern\":{:.2},\
+                 \"memo_us_per_pattern\":{:.2},\"delta_steps_per_pattern\":{:.2},\
+                 \"memo_steps_per_pattern\":{:.2}}}",
+                r.name, r.patterns, r.delta_us, r.memo_us, r.delta_steps, r.memo_steps
+            )
+        })
+        .collect();
     let json = format!(
         "{{\"mode\":\"{}\",\"patterns_per_workload\":{patterns_per},\
          \"noises\":{noises},\"steady_state_allocations\":0,\
          \"geomean_speedup\":{geomean:.3},\"workloads\":[{per}],\
          \"incremental\":{{\"level\":{level},\"order\":\"gray\",\
-         \"geomean_speedup\":{inc_geomean:.3},\"workloads\":[{inc_per}]}}}}\n",
+         \"geomean_speedup\":{inc_geomean:.3},\"workloads\":[{inc_per}]}},\
+         \"memo\":{{\"level\":{memo_level},\"order\":\"gray\",\"workloads\":[{}]}}}}\n",
         if smoke { "smoke" } else { "default" },
+        memo_per.join(","),
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");
     f.write_all(json.as_bytes()).expect("write bench report");

@@ -46,6 +46,24 @@
 //! operand values a full replay would — so this is purely a
 //! performance change; workers that start cold fall back to one full
 //! replay automatically.
+//!
+//! # Memoized single-site subtrees (levels ≥ 2)
+//!
+//! At level `u ≥ 2` a pattern has `u` non-dominant sites, and a tree
+//! node whose subtree holds at most one of them takes one of only
+//! `1 + 3N` values per run: the all-dominant baseline, or one site at
+//! one sub-dominant term with every other site dominant — exactly the
+//! intermediates of the level-0 and level-1 amplitudes. A per-run memo
+//! records them once (one single-site pass, `1 + 3N` delta replays per
+//! half, built by [`crate::refine::LevelEvaluator`] at its first level
+//! ≥ 2). Per pattern the memo evaluator then recomputes only the nodes
+//! whose subtree holds **at least two** non-dominant sites, one of
+//! which changed, reading a child with exactly one such site from the
+//! memo and a child with none from the baseline
+//! ([`ExecutablePlan::execute_network_steps_scalar`]). Every value
+//! read is the value a full replay would compute (the memo entries
+//! *are* full-replay values of the same subtree inputs), and the same
+//! kernel runs on it, so amplitudes and sums stay bit-identical.
 
 use crate::noise_svd::NoiseSvd;
 use crate::patterns::{GrayPatternStream, TERM_UNSET};
@@ -246,18 +264,30 @@ pub(crate) fn build_split(
 /// — bit-identical to a full replay, but `O(changes · tree depth)`
 /// contractions under the minimal-change [`GrayPatternStream`] order.
 /// A cold workspace (a worker's first pattern) falls back to one full
-/// replay inside the executor; no coordination is needed.
+/// replay inside the executor; no coordination is needed. With a
+/// [`SplitMemo`] the same state drives the memoized replay instead
+/// ([`SplitDelta::evaluate_memo`]).
 pub(crate) struct SplitDelta {
     /// Term installed at each site (`TERM_UNSET` before the first
     /// pattern, so every site reads as changed).
     current: Vec<usize>,
     dirty_up: Vec<usize>,
     dirty_lo: Vec<usize>,
+    /// Sites whose term changed in the pattern being evaluated.
+    changed: Vec<usize>,
     /// One workspace per half: cached intermediates belong to a single
     /// plan, and alternating two plans through one workspace would
     /// evict the warm arena on every pattern.
     ws_up: Workspace,
     ws_lo: Workspace,
+    /// Per-half step programs of the memoized replay.
+    prog_up: StepProgram,
+    prog_lo: StepProgram,
+    /// Whether both arenas hold the memoized replay's invariant: every
+    /// step with ≥ 2 non-dominant sites below it caches its value for
+    /// `current`. Cleared by any ordinary replay through the
+    /// workspaces.
+    memo_warm: bool,
 }
 
 impl SplitDelta {
@@ -266,9 +296,45 @@ impl SplitDelta {
             current: vec![TERM_UNSET; n_sites],
             dirty_up: Vec::new(),
             dirty_lo: Vec::new(),
+            changed: Vec::with_capacity(n_sites),
             ws_up: Workspace::for_plan(&shared.up),
             ws_lo: Workspace::for_plan(&shared.lo),
+            prog_up: StepProgram::new(&shared.up, n_sites),
+            prog_lo: StepProgram::new(&shared.lo, n_sites),
+            memo_warm: false,
         }
+    }
+
+    /// Workspace growth events of both halves (see
+    /// [`Workspace::allocation_events`]).
+    pub(crate) fn allocation_events(&self) -> u64 {
+        self.ws_up.allocation_events() + self.ws_lo.allocation_events()
+    }
+
+    /// Installs the payloads of every site whose term differs from
+    /// `current`, recording those sites in `changed`. Returns whether
+    /// any site entered or left the non-dominant subset.
+    // qns-lint: zero-alloc
+    fn install(
+        &mut self,
+        skels: &mut SplitSkeletons,
+        shared: &SplitShared,
+        assignment: &[usize],
+    ) -> bool {
+        self.changed.clear();
+        let mut subset_changed = false;
+        for (i, (&term, cur)) in assignment.iter().zip(&mut self.current).enumerate() {
+            if term == *cur {
+                continue;
+            }
+            let (u, v) = &shared.payloads[i][term];
+            skels.upper.set_insertion_payload(i, u);
+            skels.lower.set_insertion_payload(i, v);
+            subset_changed |= *cur == TERM_UNSET || (term == 0) != (*cur == 0);
+            self.changed.push(i);
+            *cur = term;
+        }
+        subset_changed
     }
 
     /// Evaluates one substitution pattern incrementally. Returns
@@ -282,18 +348,13 @@ impl SplitDelta {
         assignment: &[usize],
         stats: &mut ContractionStats,
     ) -> Complex64 {
+        self.install(skels, shared, assignment);
+        self.memo_warm = false;
         self.dirty_up.clear();
         self.dirty_lo.clear();
-        for (i, (&term, cur)) in assignment.iter().zip(&mut self.current).enumerate() {
-            if term == *cur {
-                continue;
-            }
-            let (u, v) = &shared.payloads[i][term];
-            skels.upper.set_insertion_payload(i, u);
-            skels.lower.set_insertion_payload(i, v);
+        for &i in &self.changed {
             self.dirty_up.push(skels.upper.insertion_slot(i));
             self.dirty_lo.push(skels.lower.insertion_slot(i));
-            *cur = term;
         }
         let (amp_up, st_up) = shared.up.execute_network_delta_scalar(
             skels.upper.network(),
@@ -308,6 +369,280 @@ impl SplitDelta {
         stats.absorb(&st_up);
         stats.absorb(&st_lo);
         amp_up * amp_lo
+    }
+
+    /// [`SplitDelta::evaluate`] through the single-site memo: per half,
+    /// recomputes only the steps with at least two non-dominant sites
+    /// below them, one of which changed, reading every other child
+    /// from `memo` — bit-identical to a full replay (see the module
+    /// docs). The step programs are rebuilt when the non-dominant
+    /// subset changes.
+    // qns-lint: zero-alloc
+    fn evaluate_memo(
+        &mut self,
+        skels: &mut SplitSkeletons,
+        shared: &SplitShared,
+        memo: &SplitMemo,
+        assignment: &[usize],
+        stats: &mut ContractionStats,
+    ) -> Complex64 {
+        let subset_changed = self.install(skels, shared, assignment);
+        let cold = !self.memo_warm;
+        for (prog, half) in [(&mut self.prog_up, &memo.up), (&mut self.prog_lo, &memo.lo)] {
+            if cold || subset_changed {
+                prog.rebuild(half, &self.current);
+            }
+            prog.select(half, &self.changed, cold);
+        }
+        let (amp_up, st_up) = memo.up.replay(
+            &shared.up,
+            skels.upper.network(),
+            &self.prog_up,
+            &self.current,
+            &mut self.ws_up,
+        );
+        let (amp_lo, st_lo) = memo.lo.replay(
+            &shared.lo,
+            skels.lower.network(),
+            &self.prog_lo,
+            &self.current,
+            &mut self.ws_lo,
+        );
+        self.memo_warm = true;
+        stats.absorb(&st_up);
+        stats.absorb(&st_lo);
+        amp_up * amp_lo
+    }
+}
+
+/// Where a step's output comes from in the memoized replay.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Source {
+    /// No non-dominant site below: the memo's baseline.
+    Baseline,
+    /// Exactly one, `site`: its memo entry for the site's current
+    /// term, `offset` elements into the term block.
+    Single { site: usize, offset: usize },
+    /// Two or more: computed into (and cached in) the workspace arena.
+    Computed,
+}
+
+/// The per-subset step program of one half for the memoized replay.
+/// All buffers are sized once from the plan, so rebuilding and
+/// selecting never allocate.
+pub(crate) struct StepProgram {
+    /// Source of every step's output, indexed by step.
+    source: Vec<Source>,
+    /// Non-dominant sites below every step.
+    below: Vec<u32>,
+    /// Steps of [`Source::Computed`], ascending.
+    computed: Vec<u32>,
+    /// Non-dominant sites the program was built for.
+    active: Vec<usize>,
+    /// Per step: lies on a changed site's path (scratch of `select`).
+    dirty: Vec<bool>,
+    /// The steps the current pattern runs, ascending.
+    run: Vec<u32>,
+}
+
+impl StepProgram {
+    fn new(plan: &ExecutablePlan, n_sites: usize) -> StepProgram {
+        let steps = plan.step_count();
+        StepProgram {
+            source: vec![Source::Baseline; steps],
+            below: vec![0; steps],
+            computed: Vec::with_capacity(steps),
+            active: Vec::with_capacity(n_sites),
+            dirty: vec![false; steps],
+            run: Vec::with_capacity(steps),
+        }
+    }
+
+    /// Re-derives every step's source for the non-dominant subset of
+    /// `terms`. Touches only the leaf paths of the old and new subsets.
+    // qns-lint: zero-alloc
+    fn rebuild(&mut self, half: &HalfMemo, terms: &[usize]) {
+        for &site in &self.active {
+            for &s in half.path(site) {
+                self.source[s as usize] = Source::Baseline;
+                self.below[s as usize] = 0;
+            }
+        }
+        self.active.clear();
+        self.computed.clear();
+        for (site, &term) in terms.iter().enumerate() {
+            if term == 0 {
+                continue;
+            }
+            self.active.push(site);
+            let mut offset = 0;
+            for &s in half.path(site) {
+                let s = s as usize;
+                self.below[s] += 1;
+                self.source[s] = match self.below[s] {
+                    1 => Source::Single { site, offset },
+                    _ => Source::Computed,
+                };
+                if self.below[s] == 2 {
+                    self.computed.push(s as u32);
+                }
+                offset += half.len(s);
+            }
+        }
+        self.computed.sort_unstable();
+    }
+
+    /// Selects the computed steps the pattern must rerun: all of them
+    /// when `cold`, otherwise those on a changed site's path.
+    // qns-lint: zero-alloc
+    fn select(&mut self, half: &HalfMemo, changed: &[usize], cold: bool) {
+        self.run.clear();
+        if cold {
+            self.run.extend_from_slice(&self.computed);
+            return;
+        }
+        for &site in changed {
+            for &s in half.path(site) {
+                self.dirty[s as usize] = true;
+            }
+        }
+        for &s in &self.computed {
+            if self.dirty[s as usize] {
+                self.run.push(s);
+            }
+        }
+        for &site in changed {
+            for &s in half.path(site) {
+                self.dirty[s as usize] = false;
+            }
+        }
+    }
+}
+
+/// The read-only single-site memo of one split half: every step's
+/// output at the all-dominant assignment, and every step on a site's
+/// leaf-to-root path with that site at each sub-dominant term.
+pub(crate) struct HalfMemo {
+    /// Step `s`'s baseline output is `baseline[offsets[s]..offsets[s + 1]]`.
+    baseline: Vec<Complex64>,
+    offsets: Vec<usize>,
+    /// Per site: its insertion leaf's path, ascending.
+    paths: Vec<Vec<u32>>,
+    /// Per site: terms 1, 2, 3 as consecutive blocks, each the
+    /// concatenated outputs of the site's path steps.
+    sites: Vec<Vec<Complex64>>,
+}
+
+impl HalfMemo {
+    fn path(&self, site: usize) -> &[u32] {
+        &self.paths[site]
+    }
+
+    fn len(&self, step: usize) -> usize {
+        self.offsets[step + 1] - self.offsets[step]
+    }
+
+    /// Step `step`'s output for the program's source (`None`: arena).
+    // qns-lint: zero-alloc
+    fn operand(&self, step: usize, prog: &StepProgram, terms: &[usize]) -> Option<&[Complex64]> {
+        let len = self.len(step);
+        match prog.source[step] {
+            Source::Baseline => Some(&self.baseline[self.offsets[step]..][..len]),
+            Source::Single { site, offset } => {
+                let data = &self.sites[site];
+                let block = data.len() / 3;
+                Some(&data[(terms[site] - 1) * block + offset..][..len])
+            }
+            Source::Computed => None,
+        }
+    }
+
+    /// Runs `prog`'s selected steps of `plan` and returns the amplitude.
+    // qns-lint: zero-alloc
+    fn replay(
+        &self,
+        plan: &ExecutablePlan,
+        net: &qns_tnet::network::TensorNetwork,
+        prog: &StepProgram,
+        terms: &[usize],
+        ws: &mut Workspace,
+    ) -> (Complex64, ContractionStats) {
+        plan.execute_network_steps_scalar(net, &prog.run, |s| self.operand(s, prog, terms), ws)
+    }
+}
+
+/// The per-run single-site memo of both split halves, built lazily at
+/// the first level ≥ 2 and read-only afterwards (shared by every
+/// worker). Memory per half: the plan's arena plus, per site, three
+/// times the sizes of its path's intermediates.
+pub(crate) struct SplitMemo {
+    up: HalfMemo,
+    lo: HalfMemo,
+}
+
+impl SplitMemo {
+    /// Builds the memo by one single-site pass through `delta`: the
+    /// all-dominant pattern, then every site at terms 1–3 with every
+    /// other site dominant (`1 + 3N` ordinary delta replays per half,
+    /// whose contractions are absorbed into `stats`; they replay no
+    /// pattern of the sum, so `plan_reuses` is untouched).
+    pub(crate) fn build(
+        skels: &mut SplitSkeletons,
+        shared: &SplitShared,
+        delta: &mut SplitDelta,
+        stats: &mut ContractionStats,
+    ) -> SplitMemo {
+        let n = shared.payloads.len();
+        let mut replays = ContractionStats::default();
+        let mut assignment = vec![0usize; n];
+        delta.evaluate(skels, shared, &assignment, &mut replays);
+        let mut up = HalfMemo::baseline(&shared.up, &delta.ws_up, &skels.upper, n);
+        let mut lo = HalfMemo::baseline(&shared.lo, &delta.ws_lo, &skels.lower, n);
+        for site in 0..n {
+            for term in 1..=3 {
+                assignment[site] = term;
+                delta.evaluate(skels, shared, &assignment, &mut replays);
+                up.capture(site, &shared.up, &delta.ws_up);
+                lo.capture(site, &shared.lo, &delta.ws_lo);
+            }
+            assignment[site] = 0;
+        }
+        replays.plan_reuses = 0;
+        stats.absorb(&replays);
+        SplitMemo { up, lo }
+    }
+}
+
+impl HalfMemo {
+    /// The baseline from `ws` (warm at the all-dominant assignment).
+    fn baseline(
+        plan: &ExecutablePlan,
+        ws: &Workspace,
+        skel: &AmplitudeSkeleton,
+        n_sites: usize,
+    ) -> HalfMemo {
+        let mut baseline = Vec::new();
+        let mut offsets = vec![0];
+        for s in 0..plan.step_count() {
+            baseline.extend_from_slice(plan.step_output(s, ws));
+            offsets.push(baseline.len());
+        }
+        HalfMemo {
+            baseline,
+            offsets,
+            paths: (0..n_sites)
+                .map(|i| plan.leaf_path(skel.insertion_slot(i)).to_vec())
+                .collect(),
+            sites: vec![Vec::new(); n_sites],
+        }
+    }
+
+    /// Appends the outputs of `site`'s path steps from `ws` (warm at
+    /// `site`'s next sub-dominant term) as the site's next term block.
+    fn capture(&mut self, site: usize, plan: &ExecutablePlan, ws: &Workspace) {
+        for &s in &self.paths[site] {
+            self.sites[site].extend_from_slice(plan.step_output(s as usize, ws));
+        }
     }
 }
 
@@ -350,12 +685,30 @@ pub(crate) fn check_budget(
 /// large enough that the mutex is cold next to the contractions.
 const PATTERN_CHUNK: usize = 32;
 
+/// One pattern through `delta`: memoized when a memo is given,
+/// ordinary delta replay otherwise.
+fn evaluate_pattern(
+    delta: &mut SplitDelta,
+    skels: &mut SplitSkeletons,
+    shared: &SplitShared,
+    memo: Option<&SplitMemo>,
+    assignment: &[usize],
+    stats: &mut ContractionStats,
+) -> Complex64 {
+    match memo {
+        Some(memo) => delta.evaluate_memo(skels, shared, memo, assignment, stats),
+        None => delta.evaluate(skels, shared, assignment, stats),
+    }
+}
+
 /// Streams the level-`u` patterns sequentially through the shared
-/// plans in minimal-change order, delta-replaying each one. Returns
-/// `(Σ amp_up·amp_lo, patterns evaluated, stats)`.
+/// plans in minimal-change order, delta-replaying each one (through
+/// `memo` when given). Returns `(Σ amp_up·amp_lo, patterns evaluated,
+/// stats)`.
 pub(crate) fn evaluate_level_sequential(
     skels: &mut SplitSkeletons,
     shared: &SplitShared,
+    memo: Option<&SplitMemo>,
     n: usize,
     u: usize,
     delta: &mut SplitDelta,
@@ -366,7 +719,7 @@ pub(crate) fn evaluate_level_sequential(
     let mut count = 0usize;
     let mut stats = ContractionStats::default();
     while stream.next_into(&mut assignment) {
-        acc += delta.evaluate(skels, shared, &assignment, &mut stats);
+        acc += evaluate_pattern(delta, skels, shared, memo, &assignment, &mut stats);
         count += 1;
     }
     (acc, count, stats)
@@ -384,6 +737,7 @@ pub(crate) fn evaluate_level_sequential(
 pub(crate) fn evaluate_level_parallel(
     skels: &SplitSkeletons,
     shared: &SplitShared,
+    memo: Option<&SplitMemo>,
     n: usize,
     u: usize,
     threads: usize,
@@ -433,9 +787,11 @@ pub(crate) fn evaluate_level_parallel(
                         }
                         let mut chunk_acc = Complex64::ZERO;
                         for k in 0..filled {
-                            chunk_acc += delta.evaluate(
+                            chunk_acc += evaluate_pattern(
+                                &mut delta,
                                 &mut skels,
                                 shared,
+                                memo,
                                 &buf[k * n..(k + 1) * n],
                                 &mut stats,
                             );
@@ -1262,6 +1618,47 @@ mod tests {
                 again.value.to_bits(),
                 par.value.to_bits(),
                 "parallel sum must be bit-stable across runs"
+            );
+        }
+    }
+
+    #[test]
+    fn memoized_levels_match_delta_replay_with_fewer_steps() {
+        let noisy = NoisyCircuit::inject_random(
+            inst_grid(2, 3, 8, 5),
+            &channels::thermal_relaxation(30.0, 40.0, 80.0),
+            8,
+            71,
+        );
+        let psi = ProductState::all_zeros(6);
+        let v = ProductState::basis(6, 0b101101);
+        let sites = collect_sites(&noisy);
+        let n = sites.len();
+        let (mut skels, shared) =
+            build_split(noisy.circuit(), &psi, &v, &v, &sites, OrderStrategy::Greedy);
+        let mut delta = SplitDelta::new(&shared, n);
+        let mut build_stats = ContractionStats::default();
+        let memo = SplitMemo::build(&mut skels, &shared, &mut delta, &mut build_stats);
+        assert_eq!(
+            build_stats.plan_reuses, 0,
+            "the memo pass replays no pattern"
+        );
+        assert!(build_stats.contractions > 0);
+        for u in 2..=3 {
+            let (plain, plain_count, plain_stats) =
+                evaluate_level_sequential(&mut skels, &shared, None, n, u, &mut delta);
+            let warm = delta.allocation_events();
+            let (memo_sum, memo_count, memo_stats) =
+                evaluate_level_sequential(&mut skels, &shared, Some(&memo), n, u, &mut delta);
+            assert_eq!(delta.allocation_events(), warm, "memo replay allocated");
+            assert_eq!(memo_sum, plain, "level {u}");
+            assert_eq!(memo_count, plain_count);
+            assert_eq!(memo_stats.plan_reuses, plain_stats.plan_reuses);
+            assert!(
+                memo_stats.contractions < plain_stats.contractions,
+                "level {u}: memo {} vs delta {} steps",
+                memo_stats.contractions,
+                plain_stats.contractions
             );
         }
     }

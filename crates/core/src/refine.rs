@@ -51,7 +51,7 @@
 
 use crate::approx::{
     build_split, check_budget, check_state, collect_sites, evaluate_level_parallel,
-    evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitShared,
+    evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitMemo, SplitShared,
     SplitSkeletons,
 };
 use qns_noise::{NoisyCircuit, QnsError};
@@ -90,6 +90,8 @@ pub struct PartialEstimate {
 /// delta-replay machinery, and returns the tightened
 /// [`PartialEstimate`]. Levels already paid for elsewhere can be
 /// [installed](Self::install_level) from a cache instead of recomputed.
+/// The first level ≥ 2 also builds a per-run memo of single-site
+/// subtrees that every later level reads (see [`crate::approx`]).
 pub struct LevelEvaluator {
     /// Number of noise sites `N` (the maximum — exact — level).
     n: usize,
@@ -103,6 +105,10 @@ pub struct LevelEvaluator {
     /// levels so its installed-assignment state carries over (the first
     /// pattern of a level diffs against the last of the previous one).
     seq_delta: Option<SplitDelta>,
+    /// Single-site memo for levels ≥ 2, built at the first such level
+    /// (computed or resumed from installed levels alike) and freed
+    /// with the evaluator.
+    memo: Option<SplitMemo>,
     /// Contributions `T_0 … T_k` of the completed levels.
     per_level: Vec<f64>,
     /// Pattern count of each completed level.
@@ -144,6 +150,7 @@ impl LevelEvaluator {
             skels,
             shared,
             seq_delta: None,
+            memo: None,
             per_level: Vec::new(),
             level_counts: Vec::new(),
             stats,
@@ -200,19 +207,41 @@ impl LevelEvaluator {
     /// [is already complete](Self::is_complete).
     pub fn advance(&mut self) -> Result<PartialEstimate, QnsError> {
         let u = self.begin_level()?;
+        if u >= 2 && self.memo.is_none() {
+            let delta = self
+                .seq_delta
+                .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
+            self.memo = Some(SplitMemo::build(
+                &mut self.skels,
+                &self.shared,
+                delta,
+                &mut self.stats,
+            ));
+        }
+        let memo = self.memo.as_ref().filter(|_| u >= 2);
         let (tu, count, level_stats) =
             if self.threads > 1 && crate::bounds::level_patterns(self.n, u) > 1 {
-                evaluate_level_parallel(&self.skels, &self.shared, self.n, u, self.threads)
+                evaluate_level_parallel(&self.skels, &self.shared, memo, self.n, u, self.threads)
             } else {
                 let delta = self
                     .seq_delta
                     .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
-                evaluate_level_sequential(&mut self.skels, &self.shared, self.n, u, delta)
+                evaluate_level_sequential(&mut self.skels, &self.shared, memo, self.n, u, delta)
             };
         self.stats.absorb(&level_stats);
         self.per_level.push(tu.re);
         self.level_counts.push(count);
         Ok(self.partial().expect("a level just completed"))
+    }
+
+    /// Workspace growth events of the sequential path so far (see
+    /// [`qns_tnet::exec::Workspace::allocation_events`]): stops moving
+    /// once the workspaces are warm, which benchmarks assert for the
+    /// memoized levels.
+    pub fn workspace_allocations(&self) -> u64 {
+        self.seq_delta
+            .as_ref()
+            .map_or(0, SplitDelta::allocation_events)
     }
 
     /// Installs a previously computed contribution for the next level

@@ -9,12 +9,13 @@
 //! Two flavors:
 //!
 //! * [`matmul_into`] — both operands contiguous row-major.
-//! * [`matmul_gather_lhs_into`] — the left operand is read through
-//!   precomputed row/column offset tables, fusing an axis permutation
-//!   into the product without materializing the permuted copy. This
-//!   works because a contraction's operand permutation always splits
-//!   the axes into two groups (free → rows, contracted → columns), so
-//!   the permuted flat index factorizes as `row_off[i] + col_off[j]`.
+//! * [`matmul_gather_into`] — both operands are read through
+//!   precomputed row/column offset tables ([`Gathered`]), fusing any
+//!   axis permutation into the product without materializing a
+//!   permuted copy. This works because a contraction's operand
+//!   permutation always splits the axes into two groups (free and
+//!   contracted), so the permuted flat index factorizes as
+//!   `row_off[i] + col_off[j]`.
 //!
 //! # Accumulation order
 //!
@@ -73,46 +74,93 @@ pub fn matmul_into(
     }
 }
 
-/// `out = A · b` where `A`'s elements are gathered from `a` as
-/// `a[row_off[i] + col_off[kk]]` — the fused-permutation variant of
-/// [`matmul_into`]. `m = row_off.len()`, `k = col_off.len()`; `b` is
-/// contiguous row-major `k×n` and `out` row-major `m×n` (fully
-/// overwritten).
+/// An operand of [`matmul_gather_into`], read through precomputed
+/// offset tables: element `(r, c)` is `data[rows[r] + cols[c]]`, or
+/// `data[rows[r] + c]` when `cols` is `None` (columns contiguous).
+///
+/// A contraction's operand permutation always splits the axes into
+/// two groups (free and contracted), so the permuted flat index
+/// factorizes into a row offset plus a column offset and any such
+/// permutation is expressible as two tables — an unpermuted row-major
+/// matrix is simply `rows[r] = r·cols`, `cols = None`.
+#[derive(Clone, Copy, Debug)]
+pub struct Gathered<'a> {
+    /// The operand's flat buffer.
+    pub data: &'a [Complex64],
+    /// Flat offset of every row.
+    pub rows: &'a [usize],
+    /// Flat offset of every column within a row; `None` = `0, 1, 2, …`.
+    pub cols: Option<&'a [usize]>,
+}
+
+/// `out = A · B` with both operands read through their offset tables
+/// (see [`Gathered`]) — the fused-permutation variant of
+/// [`matmul_into`]: no permuted copy of either operand is ever
+/// materialized. `m = a.rows.len()`, `k = b.rows.len()`; `out` is
+/// row-major `m×n` (fully overwritten). When `b`'s columns are
+/// contiguous the inner loop streams a contiguous row slice.
 ///
 /// Same accumulation order and zero-skip as [`matmul_into`], so the
-/// result is bit-identical to first materializing the permuted copy of
-/// the left operand and multiplying.
+/// result is bit-identical to first materializing both permuted
+/// operands and multiplying.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with its dimensions or an offset
-/// pair indexes out of `a`.
+/// Panics if a table length disagrees with the dimensions or an offset
+/// pair indexes out of its operand.
 // qns-lint: zero-alloc
-pub fn matmul_gather_lhs_into(
-    a: &[Complex64],
-    row_off: &[usize],
-    col_off: &[usize],
-    b: &[Complex64],
+pub fn matmul_gather_into(a: Gathered<'_>, b: Gathered<'_>, out: &mut [Complex64], n: usize) {
+    let (m, k) = (a.rows.len(), b.rows.len());
+    assert!(
+        a.cols.is_none_or(|c| c.len() == k),
+        "lhs column table length mismatch"
+    );
+    assert!(
+        b.cols.is_none_or(|c| c.len() == n),
+        "rhs column table length mismatch"
+    );
+    assert_eq!(out.len(), m * n, "output buffer length mismatch");
+    // One monomorphized loop nest per rhs column layout, so the inner
+    // loop carries no per-element branch.
+    match b.cols {
+        None => gather_loops(a, b.rows, out, n, |out_row, aik, bo, j0| {
+            let b_row = &b.data[bo + j0..bo + j0 + out_row.len()];
+            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                *o += aik * bkj;
+            }
+        }),
+        Some(cols) => gather_loops(a, b.rows, out, n, |out_row, aik, bo, j0| {
+            for (o, &co) in out_row.iter_mut().zip(&cols[j0..]) {
+                *o += aik * b.data[bo + co];
+            }
+        }),
+    }
+}
+
+/// The blocked loop nest of [`matmul_gather_into`]: for every output
+/// row panel, `row_axpy(out_row, a[i][kk], b_rows[kk], j0)` adds
+/// `a[i][kk] · b[kk][j0..]` for each `kk` in ascending order, skipping
+/// zero `a[i][kk]`.
+// qns-lint: zero-alloc
+#[inline(always)]
+fn gather_loops(
+    a: Gathered<'_>,
+    b_rows: &[usize],
     out: &mut [Complex64],
     n: usize,
+    row_axpy: impl Fn(&mut [Complex64], Complex64, usize, usize),
 ) {
-    let (m, k) = (row_off.len(), col_off.len());
-    assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
-    assert_eq!(out.len(), m * n, "output buffer length mismatch");
     out.fill(Complex64::ZERO);
     for j0 in (0..n).step_by(PANEL) {
         let j1 = (j0 + PANEL).min(n);
-        for (i, &ro) in row_off.iter().enumerate() {
+        for (i, &ro) in a.rows.iter().enumerate() {
             let out_row = &mut out[i * n + j0..i * n + j1];
-            for (kk, &co) in col_off.iter().enumerate() {
-                let aik = a[ro + co];
+            for (kk, &bo) in b_rows.iter().enumerate() {
+                let aik = a.data[ro + a.cols.map_or(kk, |c| c[kk])];
                 if aik == Complex64::ZERO {
                     continue;
                 }
-                let b_row = &b[kk * n + j0..kk * n + j1];
-                for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bkj;
-                }
+                row_axpy(out_row, aik, bo, j0);
             }
         }
     }
@@ -165,22 +213,47 @@ mod tests {
 
     #[test]
     fn gather_matches_materialized_permutation() {
-        // a is a 3×4 matrix stored transposed (4×3); gathering with
-        // stride tables must equal transposing first, bit for bit.
+        // a is a 3×4 matrix stored transposed (4×3) and b a 4×5 matrix
+        // stored transposed (5×4); gathering both through stride tables
+        // must equal transposing first, bit for bit — with b's columns
+        // gathered, and with b stored untransposed (contiguous columns).
         let mut rng = StdRng::seed_from_u64(3);
         let (m, k, n) = (3usize, 4usize, 5usize);
-        let a_t = rand_buf(&mut rng, k * m); // [k][m] layout
-        let b = rand_buf(&mut rng, k * n);
-        // a[i][kk] = a_t[kk*m + i] → row_off[i] = i, col_off[kk] = kk*m.
-        let row_off: Vec<usize> = (0..m).collect();
-        let col_off: Vec<usize> = (0..k).map(|kk| kk * m).collect();
-        let mut fused = vec![Complex64::ZERO; m * n];
-        matmul_gather_lhs_into(&a_t, &row_off, &col_off, &b, &mut fused, n);
+        let mut a_t = rand_buf(&mut rng, k * m); // [k][m] layout
+        a_t[4] = Complex64::ZERO; // exercise the zero-skip
+        let b_t = rand_buf(&mut rng, n * k); // [n][k] layout
+        let a_rows: Vec<usize> = (0..m).collect();
+        let a_cols: Vec<usize> = (0..k).map(|kk| kk * m).collect();
+        let lhs = Gathered {
+            data: &a_t,
+            rows: &a_rows,
+            cols: Some(&a_cols),
+        };
+        let b_rows: Vec<usize> = (0..k).collect();
+        let b_cols: Vec<usize> = (0..n).map(|j| j * k).collect();
+        let mut fused = vec![c64(9.0, 9.0); m * n]; // dirty output
+        let rhs = Gathered {
+            data: &b_t,
+            rows: &b_rows,
+            cols: Some(&b_cols),
+        };
+        matmul_gather_into(lhs, rhs, &mut fused, n);
 
-        let a = Matrix::from_vec(k, m, a_t).transpose();
+        let a = Matrix::from_vec(k, m, a_t.clone()).transpose();
+        let b = Matrix::from_vec(n, k, b_t).transpose();
         let mut materialized = vec![Complex64::ZERO; m * n];
-        matmul_into(a.as_slice(), &b, &mut materialized, m, k, n);
+        matmul_into(a.as_slice(), b.as_slice(), &mut materialized, m, k, n);
         assert_eq!(fused, materialized);
+
+        let b_rows: Vec<usize> = (0..k).map(|kk| kk * n).collect();
+        let rhs = Gathered {
+            data: b.as_slice(),
+            rows: &b_rows,
+            cols: None,
+        };
+        let mut contiguous = vec![c64(9.0, 9.0); m * n];
+        matmul_gather_into(lhs, rhs, &mut contiguous, n);
+        assert_eq!(contiguous, materialized);
     }
 
     #[test]

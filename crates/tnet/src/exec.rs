@@ -5,19 +5,22 @@
 //! time (shapes are fixed per skeleton) every pair contraction is
 //! lowered to an exec step carrying
 //!
-//! * the matmul dimensions `m × k × n`,
-//! * the operand permutations, with **identity elision** (when the
-//!   contracted axes already sit trailing on the lhs / leading on the
-//!   rhs, no data movement happens at all) and, for the lhs, a fused
-//!   gather: instead of materializing the permuted copy, the micro
-//!   kernel reads `a[row_off[i] + col_off[k]]` through tables
-//!   precomputed here (a contraction permutation always splits the
-//!   axes into a free group and a contracted group, so the permuted
-//!   flat index factorizes),
+//! * row/column **offset tables for both operands**, read by one fused
+//!   kernel ([`qns_linalg::kernels::matmul_gather_into`]) as
+//!   `a[row[i] + col[k]]` and `b[row[k] + col[j]]`. A contraction
+//!   permutation always splits an operand's axes into a free group and
+//!   a contracted group, so the permuted flat index factorizes and no
+//!   permuted copy of either operand is ever materialized; when the
+//!   rhs's free axes already sit trailing in order its column table is
+//!   dropped and the inner loop streams contiguous rows,
+//! * its `flops_proxy` (`m·k·n`), so stats accounting per executed
+//!   step is one addition,
 //! * an exact slot-buffer layout inside a shared arena: every tree
 //!   node (intermediate) owns a **persistent, non-overlapping region**
-//!   for the plan's lifetime, so cached intermediates survive across
-//!   executions and delta replay can reuse them.
+//!   for the plan's lifetime, assigned bump-style in step order — so
+//!   cached intermediates survive across executions (delta replay
+//!   reuses them), and every operand region lies *below* the
+//!   destination region of the step reading it.
 //!
 //! Execution then threads a [`Workspace`] — one per worker thread,
 //! sized once from the plan — through the whole pattern sum: after the
@@ -42,14 +45,22 @@
 //! what makes per-worker chunked pattern streams correct without any
 //! coordination.
 //!
+//! [`ExecutablePlan::execute_network_steps_scalar`] goes one step
+//! further for callers that keep intermediates of their own: it runs
+//! exactly a caller-chosen ascending step list, reading any child the
+//! caller supplies from the caller's buffer instead of the arena. The
+//! pattern sum uses it to read single-site subtrees from a per-run
+//! memo (see `qns_core::approx`).
+//!
 //! Results are bit-identical to the allocating reference path
-//! ([`crate::plan::ContractionPlan::execute_reference`]): the micro
-//! kernels in [`qns_linalg::kernels`] keep the reference accumulation
-//! order, and elided/fused permutations move the same values.
+//! ([`crate::plan::ContractionPlan::execute_reference`]): the fused
+//! kernel keeps the reference accumulation order (`k` ascending per
+//! output element, zero lhs entries skipped), and reading an operand
+//! through offset tables moves the same values a permuted copy would.
 
 use crate::network::{ContractionStats, TensorNetwork};
 use crate::plan::ContractionPlan;
-use qns_linalg::kernels::{matmul_gather_lhs_into, matmul_into};
+use qns_linalg::kernels::{matmul_gather_into, Gathered};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,35 +76,52 @@ static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 enum SlotLoc {
     /// The `i`-th input tensor, borrowed from the caller.
     Input(usize),
-    /// A region of the workspace arena.
-    Arena { offset: usize, len: usize },
+    /// The output of step `step`: a region of the workspace arena,
+    /// unless the caller supplies the operand itself.
+    Step {
+        step: usize,
+        offset: usize,
+        len: usize,
+    },
 }
 
-/// Precomputed gather tables: `element(r, c) = src[row[r] + col[c]]`.
+/// Offset tables reading one operand as a matrix: element `(r, c)` is
+/// `src[rows[r] + cols[c]]` (`cols = None`: `src[rows[r] + c]`).
 #[derive(Clone, Debug)]
-struct Gather {
-    row: Vec<usize>,
-    col: Vec<usize>,
+struct Tables {
+    rows: Vec<usize>,
+    cols: Option<Vec<usize>>,
 }
 
-/// One lowered pair contraction.
+impl Tables {
+    fn over<'a>(&'a self, data: &'a [Complex64]) -> Gathered<'a> {
+        Gathered {
+            data,
+            rows: &self.rows,
+            cols: self.cols.as_deref(),
+        }
+    }
+}
+
+/// One lowered pair contraction: `dst (m×n) = lhs (m×k) · rhs (k×n)`
+/// with `m = lhs.rows.len()` and `k = rhs.rows.len()`.
 #[derive(Clone, Debug)]
 struct ExecStep {
     lhs: SlotLoc,
     rhs: SlotLoc,
     /// Arena offset of the `m × n` result.
     dst_offset: usize,
-    m: usize,
-    k: usize,
     n: usize,
-    /// `Some` when the lhs needs permuting: the gather is fused into
-    /// the matmul (no materialized copy). `None` = contracted axes
-    /// already trailing, buffer used as-is.
-    lhs_gather: Option<Gather>,
-    /// `Some` when the rhs needs permuting: materialized into the
-    /// workspace scratch with a two-level offset copy (no div/mod).
-    /// `None` = contracted axes already leading, buffer used as-is.
-    rhs_gather: Option<Gather>,
+    lhs_tables: Tables,
+    rhs_tables: Tables,
+    /// `m · k · n`, precomputed for stats accounting.
+    flops: u128,
+}
+
+impl ExecStep {
+    fn dst_len(&self) -> usize {
+        self.lhs_tables.rows.len() * self.n
+    }
 }
 
 /// A [`ContractionPlan`] lowered to executable kernels; created by
@@ -118,22 +146,20 @@ pub struct ExecutablePlan {
     /// `out[i] = result[out_gather[i]]`; `None` = already in order.
     out_gather: Option<Vec<usize>>,
     arena_len: usize,
-    scratch_len: usize,
     replay_stats: ContractionStats,
 }
 
 /// Per-thread scratch memory for [`ExecutablePlan`] execution: the
-/// intermediate-slot arena (the contraction tree's node cache), the
-/// rhs-permutation scratch and the output buffer. Grown on first use
-/// (or by [`Workspace::for_plan`]) and reused verbatim afterwards;
-/// buffers are never shrunk, so one workspace can serve several plans
-/// (e.g. the two split halves of the pattern sum) at the maximum of
-/// their footprints — though only the most recently executed plan's
-/// intermediates stay cached for delta replay.
+/// intermediate-slot arena (the contraction tree's node cache) and the
+/// output buffer. Grown on first use (or by [`Workspace::for_plan`])
+/// and reused verbatim afterwards; buffers are never shrunk, so one
+/// workspace can serve several plans (e.g. the two split halves of the
+/// pattern sum) at the maximum of their footprints — though only the
+/// most recently executed plan's intermediates stay cached for delta
+/// replay.
 #[derive(Debug, Default)]
 pub struct Workspace {
     arena: Vec<Complex64>,
-    scratch: Vec<Complex64>,
     out: Vec<Complex64>,
     allocation_events: u64,
     /// Id of the plan whose intermediates the arena currently holds
@@ -167,14 +193,15 @@ impl Workspace {
 
     /// Total elements currently held across all buffers.
     pub fn capacity(&self) -> usize {
-        self.arena.len() + self.scratch.len() + self.out.len()
+        self.arena.len() + self.out.len()
     }
 
     /// Whether this workspace's arena holds `plan`'s cached
     /// intermediates — i.e. whether a delta execution against `plan`
     /// would take the incremental path rather than fall back to a full
     /// replay. Set by any full execution of `plan`; cleared by
-    /// executing a different plan through the same workspace.
+    /// executing a different plan through the same workspace, or by a
+    /// partial [`ExecutablePlan::execute_network_steps_scalar`] run.
     pub fn is_warm_for(&self, plan: &ExecutablePlan) -> bool {
         self.warm_for == Some(plan.id)
     }
@@ -183,7 +210,6 @@ impl Workspace {
     fn ensure(&mut self, plan: &ExecutablePlan) {
         for (buf, need) in [
             (&mut self.arena, plan.arena_len),
-            (&mut self.scratch, plan.scratch_len),
             (&mut self.out, plan.result_len.max(1)),
         ] {
             if buf.len() < need {
@@ -224,8 +250,23 @@ fn offset_table(shape: &[usize], strides: &[usize], axes: &[usize]) -> Vec<usize
     table
 }
 
-fn is_identity(perm: impl Iterator<Item = usize>) -> bool {
-    perm.enumerate().all(|(i, p)| i == p)
+/// The row/column tables reading a tensor of `shape` with `row_axes`
+/// as rows and `col_axes` as columns; the column table is elided when
+/// it is `0, 1, 2, …` (the column axes trail in order).
+fn tables(shape: &[usize], row_axes: &[usize], col_axes: &[usize]) -> Tables {
+    let strides = strides_of(shape);
+    let cols = offset_table(shape, &strides, col_axes);
+    let contiguous = cols.iter().enumerate().all(|(i, &c)| i == c);
+    Tables {
+        rows: offset_table(shape, &strides, row_axes),
+        cols: (!contiguous).then_some(cols),
+    }
+}
+
+/// Operand lookup for the full and delta paths: every step output
+/// comes from the arena.
+fn from_arena<'s>(_step: usize) -> Option<&'s [Complex64]> {
+    None
 }
 
 impl ExecutablePlan {
@@ -239,43 +280,26 @@ impl ExecutablePlan {
         // the plan's lifetime (no recycling), so cached intermediates
         // survive across executions — the invariant delta replay needs.
         let mut arena_len = 0usize;
-        let mut scratch_len = 0usize;
         let mut steps = Vec::with_capacity(plan.steps().len());
 
-        for step in plan.steps() {
-            let sa = slot_shapes[step.lhs].clone();
-            let sb = slot_shapes[step.rhs].clone();
+        for (index, step) in plan.steps().iter().enumerate() {
+            let sa = &slot_shapes[step.lhs];
+            let sb = &slot_shapes[step.rhs];
             let free_a: Vec<usize> = (0..sa.len())
                 .filter(|i| !step.axes_lhs.contains(i))
                 .collect();
             let free_b: Vec<usize> = (0..sb.len())
                 .filter(|i| !step.axes_rhs.contains(i))
                 .collect();
-            let m: usize = free_a.iter().map(|&i| sa[i]).product();
-            let k: usize = step.axes_lhs.iter().map(|&i| sa[i]).product();
+            // Free axes → rows of the lhs / columns of the rhs,
+            // contracted axes → the shared `k` dimension.
+            let lhs_tables = tables(sa, &free_a, &step.axes_lhs);
+            let rhs_tables = tables(sb, &step.axes_rhs, &free_b);
+            let m = lhs_tables.rows.len();
+            let k = rhs_tables.rows.len();
             let n: usize = free_b.iter().map(|&i| sb[i]).product();
-
-            // Permutations bringing contracted axes trailing (lhs) /
-            // leading (rhs), elided when already in place.
-            let strides_a = strides_of(&sa);
-            let strides_b = strides_of(&sb);
-            let lhs_gather = if is_identity(free_a.iter().chain(step.axes_lhs.iter()).copied()) {
-                None
-            } else {
-                Some(Gather {
-                    row: offset_table(&sa, &strides_a, &free_a),
-                    col: offset_table(&sa, &strides_a, &step.axes_lhs),
-                })
-            };
-            let rhs_gather = if is_identity(step.axes_rhs.iter().chain(free_b.iter()).copied()) {
-                None
-            } else {
-                scratch_len = scratch_len.max(k * n);
-                Some(Gather {
-                    row: offset_table(&sb, &strides_b, &step.axes_rhs),
-                    col: offset_table(&sb, &strides_b, &free_b),
-                })
-            };
+            let mut shape: Vec<usize> = free_a.iter().map(|&i| sa[i]).collect();
+            shape.extend(free_b.iter().map(|&i| sb[i]));
 
             let dst_len = m * n;
             let dst_offset = arena_len;
@@ -284,25 +308,32 @@ impl ExecutablePlan {
                 lhs: slot_locs[step.lhs],
                 rhs: slot_locs[step.rhs],
                 dst_offset,
-                m,
-                k,
                 n,
-                lhs_gather,
-                rhs_gather,
+                lhs_tables,
+                rhs_tables,
+                flops: (m as u128)
+                    .saturating_mul(k.max(1) as u128)
+                    .saturating_mul(n as u128),
             });
-            slot_locs.push(SlotLoc::Arena {
+            slot_locs.push(SlotLoc::Step {
+                step: index,
                 offset: dst_offset,
                 len: dst_len,
             });
-            let mut shape: Vec<usize> = free_a.iter().map(|&i| sa[i]).collect();
-            shape.extend(free_b.iter().map(|&i| sb[i]));
             slot_shapes.push(shape);
         }
 
         let (result, result_shape) = match slot_locs.last() {
             Some(&loc) if n_inputs > 0 => (loc, slot_shapes.last().expect("slot shape").clone()),
             // Empty plan: the scalar 1 is synthesized at run time.
-            _ => (SlotLoc::Arena { offset: 0, len: 0 }, Vec::new()),
+            _ => (
+                SlotLoc::Step {
+                    step: 0,
+                    offset: 0,
+                    len: 0,
+                },
+                Vec::new(),
+            ),
         };
         let result_len: usize = result_shape.iter().product();
 
@@ -334,7 +365,6 @@ impl ExecutablePlan {
             output_shape,
             out_gather,
             arena_len,
-            scratch_len,
             replay_stats,
         }
     }
@@ -344,6 +374,43 @@ impl ExecutablePlan {
         self.n_inputs
     }
 
+    /// Number of pair-contraction steps (tree nodes); step
+    /// `step_count() - 1` is the root.
+    pub fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// The steps on input slot `leaf`'s leaf-to-root path, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf >= n_inputs()`.
+    pub fn leaf_path(&self, leaf: usize) -> &[u32] {
+        &self.leaf_paths[leaf]
+    }
+
+    /// Element count of step `step`'s output (the tree node's tensor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step >= step_count()`.
+    pub fn step_output_len(&self, step: usize) -> usize {
+        self.steps[step].dst_len()
+    }
+
+    /// Step `step`'s output as cached in `ws` by the last execution of
+    /// this plan that ran the step (row-major, before any output
+    /// permutation) — how callers capture intermediates for reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step >= step_count()` or `ws` was never sized for
+    /// this plan.
+    pub fn step_output<'w>(&self, step: usize, ws: &'w Workspace) -> &'w [Complex64] {
+        let s = &self.steps[step];
+        &ws.arena[s.dst_offset..s.dst_offset + s.dst_len()]
+    }
+
     /// Shape of the executed result (axes in ascending open-leg
     /// order, like the planning network's [`TensorNetwork`] output).
     pub fn output_shape(&self) -> &[usize] {
@@ -351,9 +418,9 @@ impl ExecutablePlan {
     }
 
     /// Elements of workspace memory one execution needs (arena +
-    /// scratch + output).
+    /// output).
     pub fn workspace_len(&self) -> usize {
-        self.arena_len + self.scratch_len + self.result_len.max(1)
+        self.arena_len + self.result_len.max(1)
     }
 
     /// The statistics of one replay: same counters as the reference
@@ -503,6 +570,52 @@ impl ExecutablePlan {
         (out[0], stats)
     }
 
+    /// Runs exactly `steps` — ascending step indices — against the
+    /// tensors currently held by `net`, returning the rank-0 result.
+    ///
+    /// A child operand of a listed step is, in order of precedence:
+    /// the caller's buffer when `operand(child_step)` returns `Some`
+    /// (it must hold the child's output, [`step_output_len`] elements);
+    /// an input tensor of `net` when the child is a leaf; otherwise the
+    /// arena region the child's last execution through `ws` wrote. The
+    /// root is read the same way. Only the listed steps write the
+    /// arena, so the workspace stops being [warm](Workspace::is_warm_for)
+    /// for ordinary delta replay; keeping the unlisted arena regions
+    /// valid is the caller's contract.
+    ///
+    /// Bit-identical to a full replay whenever every operand read holds
+    /// the value a full replay would compute: the same fused kernel
+    /// runs on the same values. The returned stats count the listed
+    /// steps (`plan_reuses = 1`).
+    ///
+    /// [`step_output_len`]: ExecutablePlan::step_output_len
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan's output is not rank 0, if `net` disagrees
+    /// with the plan, if a step index is out of range, or if a supplied
+    /// buffer has the wrong length.
+    pub fn execute_network_steps_scalar<'o>(
+        &self,
+        net: &TensorNetwork,
+        steps: &[u32],
+        operand: impl Fn(usize) -> Option<&'o [Complex64]>,
+        ws: &mut Workspace,
+    ) -> (Complex64, ContractionStats) {
+        assert!(
+            self.output_shape.is_empty(),
+            "execute_network_steps_scalar requires a rank-0 output"
+        );
+        assert_eq!(
+            net.node_count(),
+            self.n_inputs,
+            "plan expects {} input tensors, got {}",
+            self.n_inputs,
+            net.node_count()
+        );
+        self.run_steps(|i| net.node_tensor(i).as_slice(), steps, operand, ws)
+    }
+
     fn run<'w, 'i>(
         &self,
         input: impl Fn(usize) -> &'i [Complex64],
@@ -519,18 +632,10 @@ impl ExecutablePlan {
             crate::profile::record_full(timer, 0);
             return &ws.out[..1];
         }
-        {
-            let Workspace {
-                arena,
-                scratch,
-                out,
-                ..
-            } = &mut *ws;
-            for step in &self.steps {
-                self.exec_step(step, &input, arena, scratch);
-            }
-            self.finalize(&input, arena, out);
+        for step in &self.steps {
+            self.exec_step(step, &input, &from_arena, &mut ws.arena);
         }
+        self.finalize(&input, &from_arena, &ws.arena, &mut ws.out);
         // The arena now caches every intermediate of this plan — the
         // workspace is warm for delta replay.
         ws.warm_for = Some(self.id);
@@ -576,93 +681,99 @@ impl ExecutablePlan {
             max_intermediate: self.replay_stats.max_intermediate,
             ..Default::default()
         };
-        {
-            let Workspace {
-                arena,
-                scratch,
-                out,
-                ..
-            } = &mut *ws;
-            for &si in &dirty_steps {
-                let step = &self.steps[si as usize];
-                self.exec_step(step, &input, arena, scratch);
-                stats.contractions += 1;
-                stats.flops_proxy += (step.m as u128)
-                    .saturating_mul(step.k.max(1) as u128)
-                    .saturating_mul(step.n as u128);
-            }
-            self.finalize(&input, arena, out);
+        for &si in &dirty_steps {
+            let step = &self.steps[si as usize];
+            self.exec_step(step, &input, &from_arena, &mut ws.arena);
+            stats.contractions += 1;
+            stats.flops_proxy += step.flops;
         }
+        self.finalize(&input, &from_arena, &ws.arena, &mut ws.out);
         ws.dirty_steps = dirty_steps;
         crate::profile::record_delta(timer, stats.contractions as u64);
         (&ws.out[..self.result_len], stats)
     }
 
-    /// Runs one lowered step against the arena/scratch buffers. The
-    /// destination region is disjoint from every other slot region by
-    /// construction (persistent bump layout), so a step only ever
-    /// overwrites its own node's cache.
+    /// Caller-driven partial replay behind
+    /// [`ExecutablePlan::execute_network_steps_scalar`].
     // qns-lint: zero-alloc
-    fn exec_step<'i>(
+    fn run_steps<'i, 'o>(
+        &self,
+        input: impl Fn(usize) -> &'i [Complex64],
+        steps: &[u32],
+        operand: impl Fn(usize) -> Option<&'o [Complex64]>,
+        ws: &mut Workspace,
+    ) -> (Complex64, ContractionStats) {
+        let timer = crate::profile::start_replay();
+        ws.ensure(self);
+        // Only the listed steps are rewritten: the arena no longer
+        // caches a consistent tree for ordinary delta replay.
+        ws.warm_for = None;
+        let mut stats = ContractionStats {
+            plan_reuses: 1,
+            max_intermediate: self.replay_stats.max_intermediate,
+            ..Default::default()
+        };
+        if self.n_inputs == 0 {
+            return (Complex64::ONE, stats);
+        }
+        for &si in steps {
+            let step = &self.steps[si as usize];
+            self.exec_step(step, &input, &operand, &mut ws.arena);
+            stats.contractions += 1;
+            stats.flops_proxy += step.flops;
+        }
+        self.finalize(&input, &operand, &ws.arena, &mut ws.out);
+        crate::profile::record_delta(timer, stats.contractions as u64);
+        (ws.out[0], stats)
+    }
+
+    /// Runs one lowered step: the fused kernel reads both operands in
+    /// place through their offset tables and writes the step's own
+    /// arena region. Operand regions lie below the destination (bump
+    /// layout in step order), so one split borrows them disjointly.
+    // qns-lint: zero-alloc
+    fn exec_step<'i, 'o>(
         &self,
         step: &ExecStep,
         input: &impl Fn(usize) -> &'i [Complex64],
+        operand: &impl Fn(usize) -> Option<&'o [Complex64]>,
         arena: &mut [Complex64],
-        scratch: &mut [Complex64],
     ) {
-        let checked_input = |i: usize| -> &'i [Complex64] {
-            let s = input(i);
-            assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
-            s
-        };
-        // Materialize the permuted rhs into scratch (factorized
-        // two-level offset copy; no div/mod) when it isn't already
-        // in k-leading order.
-        if let Some(g) = &step.rhs_gather {
-            let src: &[Complex64] = match step.rhs {
-                SlotLoc::Input(i) => checked_input(i),
-                SlotLoc::Arena { offset, len } => &arena[offset..offset + len],
-            };
-            let dst = &mut scratch[..step.k * step.n];
-            for (r, &ro) in g.row.iter().enumerate() {
-                let drow = &mut dst[r * step.n..(r + 1) * step.n];
-                for (d, &co) in drow.iter_mut().zip(&g.col) {
-                    *d = src[ro + co];
-                }
-            }
-        }
-
-        // Split the arena into the disjoint shared/mutable regions
-        // this step touches, then run the micro kernel.
-        let lhs_region = match step.lhs {
-            SlotLoc::Arena { offset, len } => Some((offset, len)),
-            SlotLoc::Input(_) => None,
-        };
-        let rhs_region = match (step.rhs_gather.is_some(), step.rhs) {
-            (false, SlotLoc::Arena { offset, len }) => Some((offset, len)),
-            _ => None, // input, or already materialized in scratch
-        };
-        let (lhs_arena, rhs_arena, dst) = split3(
-            arena,
-            lhs_region,
-            rhs_region,
-            (step.dst_offset, step.m * step.n),
+        let (below, from_dst) = arena.split_at_mut(step.dst_offset);
+        let dst = &mut from_dst[..step.dst_len()];
+        let a = self.slot(step.lhs, input, operand, below);
+        let b = self.slot(step.rhs, input, operand, below);
+        matmul_gather_into(
+            step.lhs_tables.over(a),
+            step.rhs_tables.over(b),
+            dst,
+            step.n,
         );
-        let a = match step.lhs {
-            SlotLoc::Input(i) => checked_input(i),
-            SlotLoc::Arena { .. } => lhs_arena.expect("lhs arena region"),
-        };
-        let b = if step.rhs_gather.is_some() {
-            &scratch[..step.k * step.n]
-        } else {
-            match step.rhs {
-                SlotLoc::Input(i) => checked_input(i),
-                SlotLoc::Arena { .. } => rhs_arena.expect("rhs arena region"),
+    }
+
+    /// The buffer behind `loc`: an input tensor, the caller's
+    /// replacement for a step output, or the step's arena region.
+    // qns-lint: zero-alloc
+    fn slot<'a, 'i: 'a, 'o: 'a>(
+        &self,
+        loc: SlotLoc,
+        input: &impl Fn(usize) -> &'i [Complex64],
+        operand: &impl Fn(usize) -> Option<&'o [Complex64]>,
+        arena: &'a [Complex64],
+    ) -> &'a [Complex64] {
+        match loc {
+            SlotLoc::Input(i) => {
+                let s = input(i);
+                assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
+                s
             }
-        };
-        match &step.lhs_gather {
-            None => matmul_into(a, b, dst, step.m, step.k, step.n),
-            Some(g) => matmul_gather_lhs_into(a, &g.row, &g.col, b, dst, step.n),
+            SlotLoc::Step { step, offset, len } => match operand(step) {
+                Some(s) => {
+                    assert_eq!(s.len(), len, "supplied operand {step} length");
+                    s
+                }
+                None => &arena[offset..offset + len],
+            },
         }
     }
 
@@ -670,20 +781,14 @@ impl ExecutablePlan {
     /// (applying the open-leg output permutation when present). Always
     /// rerun — even by delta replay, whose dirty set may be empty.
     // qns-lint: zero-alloc
-    fn finalize<'i>(
+    fn finalize<'i, 'o>(
         &self,
         input: &impl Fn(usize) -> &'i [Complex64],
+        operand: &impl Fn(usize) -> Option<&'o [Complex64]>,
         arena: &[Complex64],
         out: &mut [Complex64],
     ) {
-        let res: &[Complex64] = match self.result {
-            SlotLoc::Input(i) => {
-                let s = input(i);
-                assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
-                s
-            }
-            SlotLoc::Arena { offset, len } => &arena[offset..offset + len],
-        };
+        let res = self.slot(self.result, input, operand, arena);
         let out = &mut out[..self.result_len];
         match &self.out_gather {
             Some(table) => {
@@ -694,50 +799,6 @@ impl ExecutablePlan {
             None => out.copy_from_slice(res),
         }
     }
-}
-
-/// Borrows up to two shared regions and one mutable region out of one
-/// buffer. Regions must be pairwise disjoint (the compile-time
-/// allocator guarantees this: the destination is carved out while both
-/// operands are still live).
-// qns-lint: zero-alloc
-#[allow(clippy::type_complexity)]
-fn split3<'a>(
-    buf: &'a mut [Complex64],
-    r1: Option<(usize, usize)>,
-    r2: Option<(usize, usize)>,
-    w: (usize, usize),
-) -> (
-    Option<&'a [Complex64]>,
-    Option<&'a [Complex64]>,
-    &'a mut [Complex64],
-) {
-    // Tagged regions, sorted by offset, carved off front to back.
-    let mut regions: [Option<(usize, usize, u8)>; 3] = [
-        r1.map(|(o, l)| (o, l, 0u8)),
-        r2.map(|(o, l)| (o, l, 1u8)),
-        Some((w.0, w.1, 2u8)),
-    ];
-    regions.sort_unstable_by_key(|r| r.map(|(o, _, _)| o).unwrap_or(usize::MAX));
-    let mut rest: &mut [Complex64] = buf;
-    let mut base = 0usize;
-    let mut got: [Option<&'a mut [Complex64]>; 3] = [None, None, None];
-    for r in regions.iter().flatten() {
-        let &(off, len, tag) = r;
-        assert!(off >= base, "exec plan regions overlap");
-        let tail = std::mem::take(&mut rest);
-        let (_, tail) = tail.split_at_mut(off - base);
-        let (this, tail) = tail.split_at_mut(len);
-        rest = tail;
-        base = off + len;
-        got[tag as usize] = Some(this);
-    }
-    let [g0, g1, g2] = got;
-    (
-        g0.map(|s| &*s),
-        g1.map(|s| &*s),
-        g2.expect("write region always present"),
-    )
 }
 
 #[cfg(test)]
@@ -863,6 +924,58 @@ mod tests {
         assert!(ws.is_warm_for(&clone));
         let (_, stats) = clone.execute_network_delta_into(&net, &[], &mut ws);
         assert_eq!(stats.contractions, 0);
+    }
+
+    #[test]
+    fn steps_entry_reads_supplied_operands_bit_identically() {
+        // Close the chain into a ring so the plan is rank 0.
+        let mut rng = StdRng::seed_from_u64(25);
+        let shapes = [vec![2, 3], vec![3, 4], vec![4, 3], vec![3, 2]];
+        let mut net = TensorNetwork::new();
+        let legs: Vec<usize> = (0..4).map(|_| net.fresh_leg()).collect();
+        for (i, s) in shapes.iter().enumerate() {
+            net.add(
+                rand_tensor(&mut rng, s.clone()),
+                vec![legs[i], legs[(i + 1) % 4]],
+            );
+        }
+        let exec = net.plan(OrderStrategy::Greedy).compile();
+        let root = exec.step_count() - 1;
+        let mut ws = Workspace::new();
+        let full = exec.execute_network_scalar(&net, &mut ws);
+        let saved: Vec<Vec<Complex64>> = (0..exec.step_count())
+            .map(|s| exec.step_output(s, &ws).to_vec())
+            .collect();
+        assert_eq!(saved[root], vec![full]);
+
+        // Clobber the arena, then rerun only the root with every child
+        // step supplied: same bits, one contraction, workspace cooled.
+        let mut other = net.clone();
+        for i in 0..4 {
+            other.set_tensor(other.node_id(i), rand_tensor(&mut rng, shapes[i].clone()));
+        }
+        let _ = exec.execute_network_scalar(&other, &mut ws);
+        let allocs = ws.allocation_events();
+        let (val, stats) = exec.execute_network_steps_scalar(
+            &net,
+            &[root as u32],
+            |s| Some(saved[s].as_slice()),
+            &mut ws,
+        );
+        assert_eq!(val, full);
+        assert_eq!(stats.contractions, 1);
+        assert_eq!(stats.plan_reuses, 1);
+        assert!(!ws.is_warm_for(&exec));
+        assert_eq!(ws.allocation_events(), allocs);
+
+        // Running every step with nothing supplied is a full replay.
+        let all: Vec<u32> = (0..exec.step_count() as u32).collect();
+        let (val, stats) = exec.execute_network_steps_scalar(&net, &all, |_| None, &mut ws);
+        assert_eq!(val, full);
+        assert_eq!(stats.flops_proxy, exec.replay_stats().flops_proxy);
+        // A cooled workspace makes the next delta replay a full one.
+        let (_, stats) = exec.execute_network_delta_scalar(&net, &[], &mut ws);
+        assert_eq!(stats.contractions, exec.step_count());
     }
 
     #[test]
