@@ -280,9 +280,9 @@ pub(crate) struct SplitDelta {
     /// evict the warm arena on every pattern.
     ws_up: Workspace,
     ws_lo: Workspace,
-    /// Per-half step programs of the memoized replay.
-    prog_up: StepProgram,
-    prog_lo: StepProgram,
+    /// Per-half (upper, lower) step programs of the memoized replay,
+    /// created at its first pattern.
+    programs: Option<[StepProgram; 2]>,
     /// Whether both arenas hold the memoized replay's invariant: every
     /// step with ≥ 2 non-dominant sites below it caches its value for
     /// `current`. Cleared by any ordinary replay through the
@@ -299,8 +299,7 @@ impl SplitDelta {
             changed: Vec::with_capacity(n_sites),
             ws_up: Workspace::for_plan(&shared.up),
             ws_lo: Workspace::for_plan(&shared.lo),
-            prog_up: StepProgram::new(&shared.up, n_sites),
-            prog_lo: StepProgram::new(&shared.lo, n_sites),
+            programs: None,
             memo_warm: false,
         }
     }
@@ -388,7 +387,14 @@ impl SplitDelta {
     ) -> Complex64 {
         let subset_changed = self.install(skels, shared, assignment);
         let cold = !self.memo_warm;
-        for (prog, half) in [(&mut self.prog_up, &memo.up), (&mut self.prog_lo, &memo.lo)] {
+        let n_sites = self.current.len();
+        let [prog_up, prog_lo] = self.programs.get_or_insert_with(|| {
+            [
+                StepProgram::new(&shared.up, n_sites),
+                StepProgram::new(&shared.lo, n_sites),
+            ]
+        });
+        for (prog, half) in [(&mut *prog_up, &memo.up), (&mut *prog_lo, &memo.lo)] {
             if cold || subset_changed {
                 prog.rebuild(half, &self.current);
             }
@@ -397,14 +403,14 @@ impl SplitDelta {
         let (amp_up, st_up) = memo.up.replay(
             &shared.up,
             skels.upper.network(),
-            &self.prog_up,
+            prog_up,
             &self.current,
             &mut self.ws_up,
         );
         let (amp_lo, st_lo) = memo.lo.replay(
             &shared.lo,
             skels.lower.network(),
-            &self.prog_lo,
+            prog_lo,
             &self.current,
             &mut self.ws_lo,
         );
@@ -534,6 +540,48 @@ pub(crate) struct HalfMemo {
 }
 
 impl HalfMemo {
+    /// The baseline from `ws` (warm at the all-dominant assignment).
+    fn baseline(
+        plan: &ExecutablePlan,
+        ws: &Workspace,
+        skel: &AmplitudeSkeleton,
+        n_sites: usize,
+    ) -> HalfMemo {
+        let mut offsets = vec![0];
+        for s in 0..plan.step_count() {
+            offsets.push(offsets[s] + plan.step_output_len(s));
+        }
+        let mut baseline = Vec::with_capacity(offsets[plan.step_count()]);
+        for s in 0..plan.step_count() {
+            baseline.extend_from_slice(plan.step_output(s, ws));
+        }
+        let paths: Vec<Vec<u32>> = (0..n_sites)
+            .map(|i| plan.leaf_path(skel.insertion_slot(i)).to_vec())
+            .collect();
+        // Exact capacities: the memo lives as long as the evaluator.
+        let sites = paths
+            .iter()
+            .map(|path| {
+                let block: usize = path.iter().map(|&s| plan.step_output_len(s as usize)).sum();
+                Vec::with_capacity(3 * block)
+            })
+            .collect();
+        HalfMemo {
+            baseline,
+            offsets,
+            paths,
+            sites,
+        }
+    }
+
+    /// Appends the outputs of `site`'s path steps from `ws` (warm at
+    /// `site`'s next sub-dominant term) as the site's next term block.
+    fn capture(&mut self, site: usize, plan: &ExecutablePlan, ws: &Workspace) {
+        for &s in &self.paths[site] {
+            self.sites[site].extend_from_slice(plan.step_output(s as usize, ws));
+        }
+    }
+
     fn path(&self, site: usize) -> &[u32] {
         &self.paths[site]
     }
@@ -610,39 +658,6 @@ impl SplitMemo {
         replays.plan_reuses = 0;
         stats.absorb(&replays);
         SplitMemo { up, lo }
-    }
-}
-
-impl HalfMemo {
-    /// The baseline from `ws` (warm at the all-dominant assignment).
-    fn baseline(
-        plan: &ExecutablePlan,
-        ws: &Workspace,
-        skel: &AmplitudeSkeleton,
-        n_sites: usize,
-    ) -> HalfMemo {
-        let mut baseline = Vec::new();
-        let mut offsets = vec![0];
-        for s in 0..plan.step_count() {
-            baseline.extend_from_slice(plan.step_output(s, ws));
-            offsets.push(baseline.len());
-        }
-        HalfMemo {
-            baseline,
-            offsets,
-            paths: (0..n_sites)
-                .map(|i| plan.leaf_path(skel.insertion_slot(i)).to_vec())
-                .collect(),
-            sites: vec![Vec::new(); n_sites],
-        }
-    }
-
-    /// Appends the outputs of `site`'s path steps from `ws` (warm at
-    /// `site`'s next sub-dominant term) as the site's next term block.
-    fn capture(&mut self, site: usize, plan: &ExecutablePlan, ws: &Workspace) {
-        for &s in &self.paths[site] {
-            self.sites[site].extend_from_slice(plan.step_output(s as usize, ws));
-        }
     }
 }
 

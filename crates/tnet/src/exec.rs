@@ -252,14 +252,17 @@ fn offset_table(shape: &[usize], strides: &[usize], axes: &[usize]) -> Vec<usize
 
 /// The row/column tables reading a tensor of `shape` with `row_axes`
 /// as rows and `col_axes` as columns; the column table is elided when
-/// it is `0, 1, 2, …` (the column axes trail in order).
+/// the column axes trail in order (it would read `0, 1, 2, …`).
 fn tables(shape: &[usize], row_axes: &[usize], col_axes: &[usize]) -> Tables {
     let strides = strides_of(shape);
-    let cols = offset_table(shape, &strides, col_axes);
-    let contiguous = cols.iter().enumerate().all(|(i, &c)| i == c);
+    let first_col = shape.len() - col_axes.len();
+    let trailing = col_axes
+        .iter()
+        .enumerate()
+        .all(|(i, &a)| a == first_col + i);
     Tables {
         rows: offset_table(shape, &strides, row_axes),
-        cols: (!contiguous).then_some(cols),
+        cols: (!trailing).then(|| offset_table(shape, &strides, col_axes)),
     }
 }
 
