@@ -120,31 +120,82 @@ pub fn matmul_gather_into(a: Gathered<'_>, b: Gathered<'_>, out: &mut [Complex64
         "rhs column table length mismatch"
     );
     assert_eq!(out.len(), m * n, "output buffer length mismatch");
-    // One monomorphized loop nest per rhs column layout, so the inner
-    // loop carries no per-element branch.
-    match b.cols {
-        None => gather_loops(a, b.rows, out, n, |out_row, aik, bo, j0| {
-            let b_row = &b.data[bo + j0..bo + j0 + out_row.len()];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bkj;
-            }
-        }),
-        Some(cols) => gather_loops(a, b.rows, out, n, |out_row, aik, bo, j0| {
-            for (o, &co) in out_row.iter_mut().zip(&cols[j0..]) {
-                *o += aik * b.data[bo + co];
-            }
-        }),
+    // One monomorphized loop nest per operand layout, so no inner loop
+    // carries a per-element branch: a contiguous lhs row is walked as a
+    // slice, a contiguous rhs row streams as one.
+    match (a.cols, b.cols) {
+        (None, None) => gather_loops(a, b.rows, out, n, contiguous_axpy(b.data)),
+        (None, Some(cols)) => gather_loops(a, b.rows, out, n, gathered_axpy(b.data, cols)),
+        (Some(a_cols), None) => {
+            gather_loops_lhs(a, a_cols, b.rows, out, n, contiguous_axpy(b.data));
+        }
+        (Some(a_cols), Some(cols)) => {
+            gather_loops_lhs(a, a_cols, b.rows, out, n, gathered_axpy(b.data, cols));
+        }
     }
 }
 
-/// The blocked loop nest of [`matmul_gather_into`]: for every output
-/// row panel, `row_axpy(out_row, a[i][kk], b_rows[kk], j0)` adds
-/// `a[i][kk] · b[kk][j0..]` for each `kk` in ascending order, skipping
-/// zero `a[i][kk]`.
+/// `out_row += aik · b[bo + j0 ..]`: the rhs row streams contiguously.
+// qns-lint: zero-alloc
+#[inline(always)]
+fn contiguous_axpy(b: &[Complex64]) -> impl Fn(&mut [Complex64], Complex64, usize, usize) + '_ {
+    move |out_row, aik, bo, j0| {
+        let b_row = &b[bo + j0..bo + j0 + out_row.len()];
+        for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+            *o += aik * bkj;
+        }
+    }
+}
+
+/// `out_row[j] += aik · b[bo + cols[j0 + j]]`: the rhs row is gathered.
+// qns-lint: zero-alloc
+#[inline(always)]
+fn gathered_axpy<'a>(
+    b: &'a [Complex64],
+    cols: &'a [usize],
+) -> impl Fn(&mut [Complex64], Complex64, usize, usize) + 'a {
+    move |out_row, aik, bo, j0| {
+        for (o, &co) in out_row.iter_mut().zip(&cols[j0..]) {
+            *o += aik * b[bo + co];
+        }
+    }
+}
+
+/// The blocked loop nest of [`matmul_gather_into`] for a contiguous
+/// lhs row: for every output row panel, `row_axpy(out_row, a[i][kk],
+/// b_rows[kk], j0)` adds `a[i][kk] · b[kk][j0..]` for each `kk` in
+/// ascending order, skipping zero `a[i][kk]`.
 // qns-lint: zero-alloc
 #[inline(always)]
 fn gather_loops(
     a: Gathered<'_>,
+    b_rows: &[usize],
+    out: &mut [Complex64],
+    n: usize,
+    row_axpy: impl Fn(&mut [Complex64], Complex64, usize, usize),
+) {
+    let k = b_rows.len();
+    out.fill(Complex64::ZERO);
+    for j0 in (0..n).step_by(PANEL) {
+        let j1 = (j0 + PANEL).min(n);
+        for (i, &ro) in a.rows.iter().enumerate() {
+            let out_row = &mut out[i * n + j0..i * n + j1];
+            for (&aik, &bo) in a.data[ro..ro + k].iter().zip(b_rows) {
+                if aik == Complex64::ZERO {
+                    continue;
+                }
+                row_axpy(out_row, aik, bo, j0);
+            }
+        }
+    }
+}
+
+/// [`gather_loops`] for an lhs whose row elements sit at `a_cols`.
+// qns-lint: zero-alloc
+#[inline(always)]
+fn gather_loops_lhs(
+    a: Gathered<'_>,
+    a_cols: &[usize],
     b_rows: &[usize],
     out: &mut [Complex64],
     n: usize,
@@ -155,8 +206,8 @@ fn gather_loops(
         let j1 = (j0 + PANEL).min(n);
         for (i, &ro) in a.rows.iter().enumerate() {
             let out_row = &mut out[i * n + j0..i * n + j1];
-            for (kk, &bo) in b_rows.iter().enumerate() {
-                let aik = a.data[ro + a.cols.map_or(kk, |c| c[kk])];
+            for (&co, &bo) in a_cols.iter().zip(b_rows) {
+                let aik = a.data[ro + co];
                 if aik == Complex64::ZERO {
                     continue;
                 }
@@ -213,47 +264,57 @@ mod tests {
 
     #[test]
     fn gather_matches_materialized_permutation() {
-        // a is a 3×4 matrix stored transposed (4×3) and b a 4×5 matrix
-        // stored transposed (5×4); gathering both through stride tables
-        // must equal transposing first, bit for bit — with b's columns
-        // gathered, and with b stored untransposed (contiguous columns).
+        // a is a 3×4 matrix and b a 4×5 matrix, each stored both
+        // transposed (read through stride tables) and row-major (read
+        // contiguously). Every lhs/rhs layout pairing must equal
+        // multiplying the materialized matrices, bit for bit.
         let mut rng = StdRng::seed_from_u64(3);
         let (m, k, n) = (3usize, 4usize, 5usize);
         let mut a_t = rand_buf(&mut rng, k * m); // [k][m] layout
         a_t[4] = Complex64::ZERO; // exercise the zero-skip
         let b_t = rand_buf(&mut rng, n * k); // [n][k] layout
-        let a_rows: Vec<usize> = (0..m).collect();
-        let a_cols: Vec<usize> = (0..k).map(|kk| kk * m).collect();
-        let lhs = Gathered {
-            data: &a_t,
-            rows: &a_rows,
-            cols: Some(&a_cols),
-        };
-        let b_rows: Vec<usize> = (0..k).collect();
-        let b_cols: Vec<usize> = (0..n).map(|j| j * k).collect();
-        let mut fused = vec![c64(9.0, 9.0); m * n]; // dirty output
-        let rhs = Gathered {
-            data: &b_t,
-            rows: &b_rows,
-            cols: Some(&b_cols),
-        };
-        matmul_gather_into(lhs, rhs, &mut fused, n);
-
         let a = Matrix::from_vec(k, m, a_t.clone()).transpose();
-        let b = Matrix::from_vec(n, k, b_t).transpose();
+        let b = Matrix::from_vec(n, k, b_t.clone()).transpose();
         let mut materialized = vec![Complex64::ZERO; m * n];
         matmul_into(a.as_slice(), b.as_slice(), &mut materialized, m, k, n);
-        assert_eq!(fused, materialized);
 
+        let (a_rows_t, a_cols_t): (Vec<usize>, Vec<usize>) =
+            ((0..m).collect(), (0..k).map(|kk| kk * m).collect());
+        let a_rows: Vec<usize> = (0..m).map(|i| i * k).collect();
+        let (b_rows_t, b_cols_t): (Vec<usize>, Vec<usize>) =
+            ((0..k).collect(), (0..n).map(|j| j * k).collect());
         let b_rows: Vec<usize> = (0..k).map(|kk| kk * n).collect();
-        let rhs = Gathered {
-            data: b.as_slice(),
-            rows: &b_rows,
-            cols: None,
-        };
-        let mut contiguous = vec![c64(9.0, 9.0); m * n];
-        matmul_gather_into(lhs, rhs, &mut contiguous, n);
-        assert_eq!(contiguous, materialized);
+        let lhs_layouts = [
+            Gathered {
+                data: &a_t,
+                rows: &a_rows_t,
+                cols: Some(&a_cols_t),
+            },
+            Gathered {
+                data: a.as_slice(),
+                rows: &a_rows,
+                cols: None,
+            },
+        ];
+        let rhs_layouts = [
+            Gathered {
+                data: &b_t,
+                rows: &b_rows_t,
+                cols: Some(&b_cols_t),
+            },
+            Gathered {
+                data: b.as_slice(),
+                rows: &b_rows,
+                cols: None,
+            },
+        ];
+        for lhs in lhs_layouts {
+            for rhs in rhs_layouts {
+                let mut fused = vec![c64(9.0, 9.0); m * n]; // dirty output
+                matmul_gather_into(lhs, rhs, &mut fused, n);
+                assert_eq!(fused, materialized, "{:?} · {:?}", lhs.cols, rhs.cols);
+            }
+        }
     }
 
     #[test]
