@@ -120,18 +120,11 @@ pub fn matmul_gather_into(a: Gathered<'_>, b: Gathered<'_>, out: &mut [Complex64
         "rhs column table length mismatch"
     );
     assert_eq!(out.len(), m * n, "output buffer length mismatch");
-    // One monomorphized loop nest per operand layout, so no inner loop
-    // carries a per-element branch: a contiguous lhs row is walked as a
-    // slice, a contiguous rhs row streams as one.
-    match (a.cols, b.cols) {
-        (None, None) => gather_loops(a, b.rows, out, n, contiguous_axpy(b.data)),
-        (None, Some(cols)) => gather_loops(a, b.rows, out, n, gathered_axpy(b.data, cols)),
-        (Some(a_cols), None) => {
-            gather_loops_lhs(a, a_cols, b.rows, out, n, contiguous_axpy(b.data));
-        }
-        (Some(a_cols), Some(cols)) => {
-            gather_loops_lhs(a, a_cols, b.rows, out, n, gathered_axpy(b.data, cols));
-        }
+    // One monomorphized loop nest per rhs column layout, so the inner
+    // loop carries no per-element branch.
+    match b.cols {
+        None => gather_loops(a, b.rows, out, n, contiguous_axpy(b.data)),
+        Some(cols) => gather_loops(a, b.rows, out, n, gathered_axpy(b.data, cols)),
     }
 }
 
@@ -161,10 +154,10 @@ fn gathered_axpy<'a>(
     }
 }
 
-/// The blocked loop nest of [`matmul_gather_into`] for a contiguous
-/// lhs row: for every output row panel, `row_axpy(out_row, a[i][kk],
-/// b_rows[kk], j0)` adds `a[i][kk] · b[kk][j0..]` for each `kk` in
-/// ascending order, skipping zero `a[i][kk]`.
+/// The blocked loop nest of [`matmul_gather_into`]: for every output
+/// row panel, `row_axpy(out_row, a[i][kk], b_rows[kk], j0)` adds
+/// `a[i][kk] · b[kk][j0..]` for each `kk` in ascending order, skipping
+/// zero `a[i][kk]`. A contiguous lhs row is walked as a slice.
 // qns-lint: zero-alloc
 #[inline(always)]
 fn gather_loops(
@@ -180,38 +173,22 @@ fn gather_loops(
         let j1 = (j0 + PANEL).min(n);
         for (i, &ro) in a.rows.iter().enumerate() {
             let out_row = &mut out[i * n + j0..i * n + j1];
-            for (&aik, &bo) in a.data[ro..ro + k].iter().zip(b_rows) {
-                if aik == Complex64::ZERO {
-                    continue;
+            let mut axpy = |aik: Complex64, bo: usize| {
+                if aik != Complex64::ZERO {
+                    row_axpy(out_row, aik, bo, j0);
                 }
-                row_axpy(out_row, aik, bo, j0);
-            }
-        }
-    }
-}
-
-/// [`gather_loops`] for an lhs whose row elements sit at `a_cols`.
-// qns-lint: zero-alloc
-#[inline(always)]
-fn gather_loops_lhs(
-    a: Gathered<'_>,
-    a_cols: &[usize],
-    b_rows: &[usize],
-    out: &mut [Complex64],
-    n: usize,
-    row_axpy: impl Fn(&mut [Complex64], Complex64, usize, usize),
-) {
-    out.fill(Complex64::ZERO);
-    for j0 in (0..n).step_by(PANEL) {
-        let j1 = (j0 + PANEL).min(n);
-        for (i, &ro) in a.rows.iter().enumerate() {
-            let out_row = &mut out[i * n + j0..i * n + j1];
-            for (&co, &bo) in a_cols.iter().zip(b_rows) {
-                let aik = a.data[ro + co];
-                if aik == Complex64::ZERO {
-                    continue;
+            };
+            match a.cols {
+                None => {
+                    for (&aik, &bo) in a.data[ro..ro + k].iter().zip(b_rows) {
+                        axpy(aik, bo);
+                    }
                 }
-                row_axpy(out_row, aik, bo, j0);
+                Some(cols) => {
+                    for (&co, &bo) in cols.iter().zip(b_rows) {
+                        axpy(a.data[ro + co], bo);
+                    }
+                }
             }
         }
     }

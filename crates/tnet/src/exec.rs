@@ -10,9 +10,10 @@
 //!   `a[row[i] + col[k]]` and `b[row[k] + col[j]]`. A contraction
 //!   permutation always splits an operand's axes into a free group and
 //!   a contracted group, so the permuted flat index factorizes and no
-//!   permuted copy of either operand is ever materialized; when the
-//!   rhs's free axes already sit trailing in order its column table is
-//!   dropped and the inner loop streams contiguous rows,
+//!   permuted copy of either operand is ever materialized; when an
+//!   operand's column axes already trail in order its column table is
+//!   dropped and the kernel walks that operand's rows as contiguous
+//!   slices,
 //! * its `flops_proxy` (`m·k·n`), so stats accounting per executed
 //!   step is one addition,
 //! * an exact slot-buffer layout inside a shared arena: every tree
