@@ -203,26 +203,6 @@ fn bench_ablation_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: split evaluation (two single-size contractions per
-/// pattern) vs direct double-network contraction at the same level —
-/// the factorization benefit in isolation.
-fn bench_ablation_split(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_split_vs_unsplit");
-    group.sample_size(10);
-    let noisy = fixture(4);
-    let n = noisy.n_qubits();
-    let psi = ProductState::all_zeros(n);
-    let v = ProductState::basis(n, 0);
-    let opts = ApproxOptions::default().with_level(1);
-    group.bench_function("split", |b| {
-        b.iter(|| approximate_expectation(black_box(&noisy), &psi, &v, &opts))
-    });
-    group.bench_function("unsplit", |b| {
-        b.iter(|| qns_core::approximate_expectation_unsplit(black_box(&noisy), &psi, &v, &opts))
-    });
-    group.finish();
-}
-
 criterion_group!(
     experiments,
     bench_table2_engines,
@@ -230,7 +210,6 @@ criterion_group!(
     bench_table3_trajectories,
     bench_table4_levels,
     bench_ablation_ordering,
-    bench_ablation_sampling,
-    bench_ablation_split
+    bench_ablation_sampling
 );
 criterion_main!(experiments);

@@ -71,7 +71,7 @@ use qns_circuit::Circuit;
 use qns_linalg::{Complex64, Matrix};
 use qns_noise::{NoiseEvent, NoisyCircuit, QnsError};
 use qns_tensor::Tensor;
-use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
+use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::exec::{ExecutablePlan, Workspace};
 use qns_tnet::network::{ContractionStats, OrderStrategy};
 use std::sync::Mutex;
@@ -153,8 +153,8 @@ pub struct ApproxResult {
     pub contractions: usize,
     /// Aggregated contraction statistics across the whole pattern sum.
     /// With plan reuse, `stats.order_searches` stays `O(1)` per run
-    /// (2 for the split evaluator — one search per half; 1 for the
-    /// unsplit one) while `stats.plan_reuses` counts the replays.
+    /// (2 — one search per split half) while `stats.plan_reuses`
+    /// counts the replays.
     pub stats: ContractionStats,
 }
 
@@ -876,132 +876,15 @@ pub fn try_approximate_expectation(
     Ok(eval.into_result())
 }
 
-/// The level-`l` approximation evaluated **without** splitting: each
-/// substitution pattern replaces the noise tensors inside the
-/// double-size network by their Kronecker factors and contracts the
-/// full `2n`-rail network once (plan searched once, replayed per
-/// pattern).
-///
-/// Numerically identical to [`approximate_expectation`]; it exists to
-/// quantify the factorization benefit in isolation (the DESIGN.md
-/// ablation): the split evaluation contracts two single-size networks
-/// per pattern instead of one double-size network.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`approximate_expectation`].
-pub fn approximate_expectation_unsplit(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    opts: &ApproxOptions,
-) -> ApproxResult {
-    try_approximate_expectation_unsplit(noisy, psi, v, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking variant of [`approximate_expectation_unsplit`].
-///
-/// # Errors
-///
-/// As [`try_approximate_expectation`].
-pub fn try_approximate_expectation_unsplit(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    opts: &ApproxOptions,
-) -> Result<ApproxResult, QnsError> {
-    let circuit = noisy.circuit();
-    check_state("input state", psi, circuit)?;
-    check_state("test state", v, circuit)?;
-    let sites = collect_sites(noisy);
-    let n = sites.len();
-    let n_regular = noisy.events().len();
-    let n_initial = noisy.initial_events().len();
-    let level = opts.level.min(n);
-    check_budget(n, level, opts.max_terms)?;
-
-    // Site index (initial-first ordering of `collect_sites`) → the
-    // replacement key used by the double network (regular events keyed
-    // by their index, initial events keyed after them).
-    let site_key = |s: usize| -> usize {
-        if s < n_initial {
-            n_regular + s
-        } else {
-            s - n_initial
-        }
-    };
-
-    // Plan-once for the 2n-rail network: every pattern substitutes a
-    // Kronecker pair at every site, so the topology is fixed. The plan
-    // is compiled and every site's four Kronecker-factor payloads are
-    // pre-resolved as tensors, so the per-pattern work is a memcpy
-    // payload swap plus one allocation-free kernel replay.
-    let mut skel = DoubleSkeleton::new(noisy, psi, v);
-    let plan = skel.plan(opts.strategy);
-    let mut stats = ContractionStats::default();
-    stats.absorb(&plan.planning_stats());
-    let exec = plan.compile();
-    let mut ws = Workspace::for_plan(&exec);
-    let payloads: Vec<[(Tensor, Tensor); 4]> = sites
-        .iter()
-        .map(|s| {
-            std::array::from_fn(|term| {
-                let (a, b) = s.svd.term(term);
-                (Tensor::from_matrix(a), Tensor::from_matrix(b))
-            })
-        })
-        .collect();
-
-    let mut per_level = vec![0.0f64; level + 1];
-    let mut terms_evaluated = 0usize;
-    let mut assignment = vec![0usize; n];
-    // Delta state: last installed term per site, and the dirty-leaf
-    // scratch. Each changed site dirties *two* leaves of the double
-    // network (its Kronecker pair).
-    let mut current = vec![TERM_UNSET; n];
-    let mut dirty: Vec<usize> = Vec::new();
-
-    for (u, slot) in per_level.iter_mut().enumerate() {
-        let mut tu = Complex64::ZERO;
-        let mut stream = GrayPatternStream::new(n, u);
-        while stream.next_into(&mut assignment) {
-            dirty.clear();
-            for (s, (&term, cur)) in assignment.iter().zip(&mut current).enumerate() {
-                if term == *cur {
-                    continue;
-                }
-                let (a, b) = &payloads[s][term];
-                let key = site_key(s);
-                skel.set_replacement_payload(key, a, b);
-                let (up_leaf, lo_leaf) = skel.replacement_slots(key);
-                dirty.push(up_leaf);
-                dirty.push(lo_leaf);
-                *cur = term;
-            }
-            let (val, replay) = exec.execute_network_delta_scalar(skel.network(), &dirty, &mut ws);
-            tu += val;
-            stats.absorb(&replay);
-            terms_evaluated += 1;
-        }
-        *slot = tu.re;
-    }
-
-    Ok(ApproxResult {
-        value: per_level.iter().sum(),
-        per_level,
-        terms_evaluated,
-        contractions: terms_evaluated, // one double-size contraction each
-        stats,
-    })
-}
-
 /// The l-level approximation of a general output-density-matrix
 /// element `⟨x| E_N(|ψ⟩⟨ψ|) |y⟩` (paper, Section III: "every element
 /// of `E_N(ρ₀)` can be independently estimated").
 ///
-/// With `x == y` this reduces to [`approximate_expectation`]; the
-/// implementation simply caps the two split networks with different
-/// product states, which the superoperator form supports directly.
+/// It runs the expectation's [`crate::refine::LevelEvaluator`] with the
+/// two split networks capped by different product states, which the
+/// superoperator form supports directly — so threads and the level ≥ 2
+/// memo apply, and with `x == y` the real part has the same bits as
+/// [`approximate_expectation`]'s `value`.
 ///
 /// # Panics
 ///
@@ -1032,26 +915,15 @@ pub fn try_approximate_matrix_element(
     check_state("input state", psi, circuit)?;
     check_state("bra state", x, circuit)?;
     check_state("ket state", y, circuit)?;
-    let sites = collect_sites(noisy);
-    let n = sites.len();
-    let level = opts.level.min(n);
-    check_budget(n, level, opts.max_terms)?;
-
-    // Same plan-once machinery as the expectation, with asymmetric
-    // caps: the upper (ket-side) network capped with `x`, the lower
-    // (conjugate-side) network with `y` — producing the terms of
+    // The expectation's evaluator with asymmetric caps: the upper
+    // (ket-side) network capped with `x`, the lower (conjugate-side)
+    // network with `y` — producing the terms of
     // `⟨x|E(ρ)|y⟩ = (⟨x| ⊗ ⟨y*|)·M·(|ψ⟩ ⊗ |ψ*⟩)`.
-    let (mut skels, shared) = build_split(circuit, psi, x, y, &sites, opts.strategy);
-    let mut stats = ContractionStats::default();
-    let mut delta = SplitDelta::new(&shared, n);
-
+    let mut eval = crate::refine::LevelEvaluator::with_caps(noisy, psi, x, y, opts)?;
+    let level = opts.level.min(eval.site_count());
     let mut total = Complex64::ZERO;
-    let mut assignment = vec![0usize; n];
-    for u in 0..=level {
-        let mut stream = GrayPatternStream::new(n, u);
-        while stream.next_into(&mut assignment) {
-            total += delta.evaluate(&mut skels, &shared, &assignment, &mut stats);
-        }
+    for _ in 0..=level {
+        total += eval.step()?;
     }
     Ok(total)
 }
@@ -1322,8 +1194,8 @@ mod tests {
     #[test]
     fn plan_reuse_amortizes_order_searches() {
         // The acceptance criterion of the plan subsystem: per-run
-        // order searches are O(1) — two for the split evaluator, one
-        // for the unsplit one — while every pattern replays a plan.
+        // order searches are O(1) — one per split half — while every
+        // pattern replays a plan.
         let noisy = NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(1e-2), 5, 37);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0b1111);
@@ -1342,10 +1214,6 @@ mod tests {
                 "threads={threads}: every pattern replays both half-plans"
             );
         }
-
-        let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(1));
-        assert_eq!(unsplit.stats.order_searches, 1);
-        assert_eq!(unsplit.stats.plan_reuses, unsplit.terms_evaluated);
     }
 
     #[test]
@@ -1409,28 +1277,47 @@ mod tests {
         let noisy = NoisyCircuit::inject_random(ghz(3), &channels::amplitude_damping(0.08), 3, 53);
         let psi = ProductState::all_zeros(3);
         let rho = density::run(&noisy, &psi.to_statevector());
-        for (xb, yb) in [(0usize, 0usize), (0, 7), (7, 0), (2, 5), (7, 7)] {
-            let x = ProductState::basis(3, xb);
-            let y = ProductState::basis(3, yb);
-            // Full level = exact.
-            let val = approximate_matrix_element(&noisy, &psi, &x, &y, &opts(3));
-            let expect = rho.matrix_element(&x.to_statevector(), &y.to_statevector());
-            assert!(
-                val.approx_eq(expect, 1e-9),
-                "({xb},{yb}): {val} vs {expect}"
-            );
+        for threads in [1usize, 2] {
+            for (xb, yb) in [(0usize, 0usize), (0, 7), (7, 0), (2, 5), (7, 7)] {
+                let x = ProductState::basis(3, xb);
+                let y = ProductState::basis(3, yb);
+                // Full level = exact.
+                let val = approximate_matrix_element(
+                    &noisy,
+                    &psi,
+                    &x,
+                    &y,
+                    &opts(3).with_threads(threads),
+                );
+                let expect = rho.matrix_element(&x.to_statevector(), &y.to_statevector());
+                assert!(
+                    val.approx_eq(expect, 1e-9),
+                    "threads={threads} ({xb},{yb}): {val} vs {expect}"
+                );
+            }
         }
     }
 
     #[test]
     fn matrix_element_diagonal_equals_expectation() {
-        let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(5e-3), 2, 59);
+        // One evaluator behind both: the diagonal element has the
+        // expectation's bits, sequentially and in parallel.
+        let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(5e-3), 5, 59);
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b111);
-        let elem = approximate_matrix_element(&noisy, &psi, &v, &v, &opts(1));
-        let expect = approximate_expectation(&noisy, &psi, &v, &opts(1)).value;
-        assert!((elem.re - expect).abs() < 1e-12);
-        assert!(elem.im.abs() < 1e-10);
+        for threads in [1usize, 2] {
+            for l in 0..=3 {
+                let o = opts(l).with_threads(threads);
+                let elem = approximate_matrix_element(&noisy, &psi, &v, &v, &o);
+                let expect = approximate_expectation(&noisy, &psi, &v, &o).value;
+                assert_eq!(
+                    elem.re.to_bits(),
+                    expect.to_bits(),
+                    "threads={threads} level {l}"
+                );
+                assert!(elem.im.abs() < 1e-10);
+            }
+        }
     }
 
     #[test]
@@ -1701,43 +1588,70 @@ mod tests {
         assert_eq!(pats.len() as u128, crate::bounds::level_patterns(6, 3));
     }
 
+    /// Level-`l` sum of the double-size network (paper, Fig. 2) with
+    /// every noise tensor replaced by the Kronecker pair `(U_i, V_i)` of
+    /// its pattern term: the unfactorized form of the split sum.
+    fn double_network_sum(
+        noisy: &NoisyCircuit,
+        psi: &ProductState,
+        v: &ProductState,
+        l: usize,
+    ) -> f64 {
+        let sites = collect_sites(noisy);
+        let (n_regular, n_initial) = (noisy.events().len(), noisy.initial_events().len());
+        // `collect_sites` puts initial events first; `double_network`
+        // keys regular events by index and initial events after them.
+        let key = |s: usize| {
+            if s < n_initial {
+                n_regular + s
+            } else {
+                s - n_initial
+            }
+        };
+        let mut total = 0.0;
+        for u in 0..=l {
+            for pattern in enumerate_patterns(sites.len(), u) {
+                let replacements = pattern
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &term)| {
+                        let (a, b) = sites[s].svd.term(term);
+                        (key(s), (a.clone(), b.clone()))
+                    })
+                    .collect();
+                let net = qns_tnet::builder::double_network(noisy, psi, v, &replacements);
+                total += net.contract_all(OrderStrategy::Greedy).0.scalar_value().re;
+            }
+        }
+        total
+    }
+
     #[test]
-    fn unsplit_matches_split_evaluation() {
-        let noisy = NoisyCircuit::inject_random(
+    fn split_sum_matches_double_network_sum() {
+        // The factorization the split evaluator rests on, checked on
+        // truncated sums (level < N), with and without initial noise.
+        let plain = NoisyCircuit::inject_random(
             ghz(3),
             &channels::thermal_relaxation(30.0, 40.0, 100.0),
             3,
             19,
         );
+        let mut initial = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-2), 2, 23);
+        initial.push_initial(1, channels::amplitude_damping(0.05));
         let psi = ProductState::all_zeros(3);
-        let v = ProductState::basis(3, 0b111);
-        for l in 0..=2 {
-            let split = approximate_expectation(&noisy, &psi, &v, &opts(l));
-            let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(l));
-            assert!(
-                (split.value - unsplit.value).abs() < 1e-10,
-                "level {l}: split {} vs unsplit {}",
-                split.value,
-                unsplit.value
-            );
-            assert_eq!(split.terms_evaluated, unsplit.terms_evaluated);
+        for (noisy, v) in [
+            (&plain, ProductState::basis(3, 0b111)),
+            (&initial, ProductState::basis(3, 0)),
+        ] {
+            for l in 0..=2 {
+                let split = approximate_expectation(noisy, &psi, &v, &opts(l)).value;
+                let double = double_network_sum(noisy, &psi, &v, l);
+                assert!(
+                    (split - double).abs() < 1e-10,
+                    "level {l}: split {split} vs double network {double}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn unsplit_matches_split_with_initial_noise() {
-        let mut noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-2), 2, 23);
-        noisy.push_initial(1, channels::amplitude_damping(0.05));
-        let psi = ProductState::all_zeros(3);
-        let v = ProductState::basis(3, 0);
-        let split = approximate_expectation(&noisy, &psi, &v, &opts(1));
-        let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(1));
-        assert!(
-            (split.value - unsplit.value).abs() < 1e-10,
-            "split {} vs unsplit {}",
-            split.value,
-            unsplit.value
-        );
     }
 
     #[test]

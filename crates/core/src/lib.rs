@@ -49,10 +49,9 @@ pub mod refine;
 pub mod timing;
 
 pub use approx::{
-    append_ideal_inverse, approximate_expectation, approximate_expectation_unsplit,
-    approximate_matrix_element, reconstruct_density, simulate_auto, try_approximate_expectation,
-    try_approximate_expectation_unsplit, try_approximate_matrix_element, try_reconstruct_density,
-    ApproxOptions, ApproxResult, AutoReport,
+    append_ideal_inverse, approximate_expectation, approximate_matrix_element, reconstruct_density,
+    simulate_auto, try_approximate_expectation, try_approximate_matrix_element,
+    try_reconstruct_density, ApproxOptions, ApproxResult, AutoReport,
 };
 pub use bounds::{
     contraction_count, error_bound, level_patterns, level_recommendation, planned_patterns,

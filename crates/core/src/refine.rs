@@ -54,6 +54,7 @@ use crate::approx::{
     evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitMemo, SplitShared,
     SplitSkeletons,
 };
+use qns_linalg::Complex64;
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_tnet::builder::ProductState;
 use qns_tnet::network::ContractionStats;
@@ -81,7 +82,8 @@ pub struct PartialEstimate {
 }
 
 /// Level-incremental evaluator for the pattern sum of
-/// [`crate::approx::approximate_expectation`].
+/// [`crate::approx::approximate_expectation`] (and, capped with two
+/// different states, of [`crate::approx::approximate_matrix_element`]).
 ///
 /// Construction performs the once-per-run setup (validation, SVD site
 /// collection, split-half planning + compilation); each
@@ -136,10 +138,23 @@ impl LevelEvaluator {
         let circuit = noisy.circuit();
         check_state("input state", psi, circuit)?;
         check_state("test state", v, circuit)?;
+        Self::with_caps(noisy, psi, v, v, opts)
+    }
+
+    /// As [`new`](Self::new) for the matrix element `⟨x|E(ρ)|y⟩`: the
+    /// upper half is capped with `x`, the lower (conjugate) half with
+    /// `y`. The caller validates the state sizes.
+    pub(crate) fn with_caps(
+        noisy: &NoisyCircuit,
+        psi: &ProductState,
+        x: &ProductState,
+        y: &ProductState,
+        opts: &ApproxOptions,
+    ) -> Result<Self, QnsError> {
         let sites = collect_sites(noisy);
         let n = sites.len();
         check_budget(n, opts.level.min(n), opts.max_terms)?;
-        let (skels, shared) = build_split(circuit, psi, v, v, &sites, opts.strategy);
+        let (skels, shared) = build_split(noisy.circuit(), psi, x, y, &sites, opts.strategy);
         let mut stats = ContractionStats::default();
         stats.absorb(&shared.planning);
         Ok(LevelEvaluator {
@@ -206,6 +221,18 @@ impl LevelEvaluator {
     /// [`QnsError::InvalidJob`] if the evaluator
     /// [is already complete](Self::is_complete).
     pub fn advance(&mut self) -> Result<PartialEstimate, QnsError> {
+        self.step()?;
+        Ok(self.partial().expect("a level just completed"))
+    }
+
+    /// Contracts the next level's patterns, records its contribution's
+    /// real part, and returns the full complex contribution (the
+    /// matrix-element sum needs the imaginary part too).
+    ///
+    /// # Errors
+    ///
+    /// As [`advance`](Self::advance).
+    pub(crate) fn step(&mut self) -> Result<Complex64, QnsError> {
         let u = self.begin_level()?;
         if u >= 2 && self.memo.is_none() {
             let delta = self
@@ -231,7 +258,7 @@ impl LevelEvaluator {
         self.stats.absorb(&level_stats);
         self.per_level.push(tu.re);
         self.level_counts.push(count);
-        Ok(self.partial().expect("a level just completed"))
+        Ok(tu)
     }
 
     /// Workspace growth events of the sequential path so far (see

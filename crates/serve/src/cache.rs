@@ -1,8 +1,8 @@
-//! The LRU result cache.
+//! The LRU cache behind the service's result cache ([`LruCache`]) and
+//! its per-level partial-sum cache.
 //!
-//! Keys are the 128-bit cache keys the service derives from a job's
-//! [`qns_api::Fingerprint`] mixed with its routing policy; values are
-//! completed [`Estimate`]s. The implementation favours simplicity and
+//! Keys are 128-bit keys the service derives from a job's
+//! [`qns_api::Fingerprint`]. The implementation favours simplicity and
 //! observability over asymptotics: recency is a monotone tick per
 //! entry, eviction scans for the minimum tick — `O(capacity)` per
 //! eviction, which is noise next to any simulation this workspace
@@ -10,9 +10,10 @@
 //!
 //! That map is a `BTreeMap` rather than a `HashMap` on purpose: the
 //! eviction scan iterates the map, and which entry survives decides
-//! which jobs later answer from cache. Recency ticks are unique today,
-//! but keeping the iteration key-ordered means the cache's observable
-//! behaviour can never silently become hash-order-dependent
+//! which jobs later answer from cache (and which partial sums a
+//! bit-reproducible refinement resumes from). Recency ticks are unique
+//! today, but keeping the iteration key-ordered means the cache's
+//! observable behaviour can never silently become hash-order-dependent
 //! (`qns-lint`'s `determinism` rule pins this file to that contract).
 
 use qns_api::Estimate;
@@ -42,8 +43,7 @@ impl CacheCounters {
     }
 }
 
-/// A least-recently-used cache of [`Estimate`]s keyed by 128-bit
-/// fingerprint-derived keys.
+/// The result cache: completed [`Estimate`]s keyed by cache key.
 ///
 /// ```
 /// use qns_serve::cache::LruCache;
@@ -58,17 +58,21 @@ impl CacheCounters {
 /// assert!(cache.get(2).is_none());
 /// assert_eq!(cache.counters().evictions, 1);
 /// ```
+pub type LruCache = Lru<Estimate>;
+
+/// A least-recently-used cache of `V`s keyed by 128-bit keys, with
+/// hit/miss/eviction counters.
 #[derive(Debug)]
-pub struct LruCache {
+pub struct Lru<V> {
     capacity: usize,
     tick: u64,
-    entries: BTreeMap<u128, (Estimate, u64)>,
+    entries: BTreeMap<u128, (V, u64)>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
 }
 
-impl LruCache {
+impl<V> Lru<V> {
     /// A cache holding at most `capacity` entries. Capacity `0` is a
     /// valid "caching disabled" configuration: every lookup misses and
     /// inserts are dropped.
@@ -94,7 +98,7 @@ impl LruCache {
         misses: Counter,
         evictions: Counter,
     ) -> Self {
-        LruCache {
+        Lru {
             capacity,
             tick: 0,
             entries: BTreeMap::new(),
@@ -104,25 +108,37 @@ impl LruCache {
         }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: u128) -> Option<Estimate> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some((est, tick)) => {
-                *tick = self.tick;
-                self.hits.inc();
-                Some(est.clone())
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+    /// Looks `key` up, refreshing its recency on a hit, and counts the
+    /// lookup as a hit or a miss.
+    pub fn get(&mut self, key: u128) -> Option<V>
+    where
+        V: Clone,
+    {
+        let found = self.get_mut(key).cloned();
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        found
+    }
+
+    /// The value under `key` for in-place updates, refreshing its
+    /// recency; counts no lookup.
+    pub fn get_mut(&mut self, key: u128) -> Option<&mut V> {
+        self.tick += 1;
+        let (value, tick) = self.entries.get_mut(&key)?;
+        *tick = self.tick;
+        Some(value)
+    }
+
+    /// The value under `key`, touching neither recency nor counters.
+    pub fn peek(&self, key: u128) -> Option<&V> {
+        self.entries.get(&key).map(|(value, _)| value)
     }
 
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
     /// entry when the cache is full.
-    pub fn insert(&mut self, key: u128, value: Estimate) {
+    pub fn insert(&mut self, key: u128, value: V) {
         if self.capacity == 0 {
             return;
         }

@@ -17,11 +17,10 @@
 //! next level boundary (the service stops paying for answers nobody
 //! will read); [`RefinementHandle::cancel`] does the same explicitly.
 
-use crate::cache::CacheCounters;
+use crate::cache::{CacheCounters, Lru};
 use crate::sync::{OrderedCondvar, OrderedMutex};
 use qns_api::{Estimate, PartialEstimate, QnsError};
 use qns_obs::Counter;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -150,32 +149,15 @@ pub struct LevelSum {
 /// LRU cache of per-level partial sums, keyed by
 /// [`qns_api::partial_sum_key`]-derived 128-bit keys. Each entry is a
 /// contiguous level prefix `T_0 … T_k`; resuming installs the prefix
-/// and computes only the new levels.
-///
-/// Entries live in a `BTreeMap`, not a `HashMap`: the eviction scan
-/// iterates the map, and partial sums feed bit-reproducible estimates,
-/// so even tie-breaking between equally stale entries must not depend
-/// on hash iteration order (`qns-lint`'s `determinism` rule enforces
-/// this file-wide).
+/// and computes only the new levels. Prefixes start at level 0 and
+/// only grow, so no entry is ever empty.
 #[derive(Debug)]
-pub(crate) struct PartialSumCache {
-    capacity: usize,
-    tick: u64,
-    entries: BTreeMap<u128, (Vec<LevelSum>, u64)>,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
+pub(crate) struct PartialSumCache(Lru<Vec<LevelSum>>);
 
 impl PartialSumCache {
     #[cfg(test)]
     pub(crate) fn new(capacity: usize) -> Self {
-        Self::with_counters(
-            capacity,
-            Counter::detached(),
-            Counter::detached(),
-            Counter::detached(),
-        )
+        PartialSumCache(Lru::new(capacity))
     }
 
     /// A cache whose hit/miss/eviction counts feed the given (usually
@@ -186,37 +168,19 @@ impl PartialSumCache {
         misses: Counter,
         evictions: Counter,
     ) -> Self {
-        PartialSumCache {
-            capacity,
-            tick: 0,
-            entries: BTreeMap::new(),
-            hits,
-            misses,
-            evictions,
-        }
+        PartialSumCache(Lru::with_counters(capacity, hits, misses, evictions))
     }
 
     /// Length of the cached level prefix without touching recency or
     /// counters (used at submission to price the deadline level).
     pub(crate) fn peek_len(&self, key: u128) -> usize {
-        self.entries.get(&key).map_or(0, |(levels, _)| levels.len())
+        self.0.peek(key).map_or(0, Vec::len)
     }
 
     /// The cached prefix for `key`, counting a hit when at least one
     /// level resumes and a miss otherwise; refreshes recency.
     pub(crate) fn probe(&mut self, key: u128) -> Vec<LevelSum> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some((levels, tick)) if !levels.is_empty() => {
-                *tick = self.tick;
-                self.hits.inc();
-                levels.clone()
-            }
-            _ => {
-                self.misses.inc();
-                Vec::new()
-            }
-        }
+        self.0.get(key).unwrap_or_default()
     }
 
     /// Appends `sum` as level `level` of `key`'s prefix. Out-of-order
@@ -224,39 +188,17 @@ impl PartialSumCache {
     /// entry was evicted mid-run) are dropped — the cache only ever
     /// holds contiguous prefixes.
     pub(crate) fn record(&mut self, key: u128, level: usize, sum: LevelSum) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        if let Some((levels, tick)) = self.entries.get_mut(&key) {
+        if let Some(levels) = self.0.get_mut(key) {
             if levels.len() == level {
                 levels.push(sum);
             }
-            *tick = self.tick;
-            return;
+        } else if level == 0 {
+            self.0.insert(key, vec![sum]);
         }
-        if level != 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| *k)
-                .expect("cache is non-empty when full");
-            self.entries.remove(&oldest);
-            self.evictions.inc();
-        }
-        self.entries.insert(key, (vec![sum], self.tick));
     }
 
     pub(crate) fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
+        self.0.counters()
     }
 }
 
