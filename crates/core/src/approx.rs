@@ -1627,30 +1627,40 @@ mod tests {
     }
 
     #[test]
-    fn split_sum_matches_double_network_sum() {
+    fn unsplit_matches_split_evaluation() {
         // The factorization the split evaluator rests on, checked on
-        // truncated sums (level < N), with and without initial noise.
-        let plain = NoisyCircuit::inject_random(
+        // truncated sums (level < N) against the unsplit double network.
+        let noisy = NoisyCircuit::inject_random(
             ghz(3),
             &channels::thermal_relaxation(30.0, 40.0, 100.0),
             3,
             19,
         );
-        let mut initial = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-2), 2, 23);
-        initial.push_initial(1, channels::amplitude_damping(0.05));
         let psi = ProductState::all_zeros(3);
-        for (noisy, v) in [
-            (&plain, ProductState::basis(3, 0b111)),
-            (&initial, ProductState::basis(3, 0)),
-        ] {
-            for l in 0..=2 {
-                let split = approximate_expectation(noisy, &psi, &v, &opts(l)).value;
-                let double = double_network_sum(noisy, &psi, &v, l);
-                assert!(
-                    (split - double).abs() < 1e-10,
-                    "level {l}: split {split} vs double network {double}"
-                );
-            }
+        let v = ProductState::basis(3, 0b111);
+        for l in 0..=2 {
+            let split = approximate_expectation(&noisy, &psi, &v, &opts(l)).value;
+            let unsplit = double_network_sum(&noisy, &psi, &v, l);
+            assert!(
+                (split - unsplit).abs() < 1e-10,
+                "level {l}: split {split} vs unsplit {unsplit}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsplit_matches_split_with_initial_noise() {
+        let mut noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-2), 2, 23);
+        noisy.push_initial(1, channels::amplitude_damping(0.05));
+        let psi = ProductState::all_zeros(3);
+        let v = ProductState::basis(3, 0);
+        for l in 0..=2 {
+            let split = approximate_expectation(&noisy, &psi, &v, &opts(l)).value;
+            let unsplit = double_network_sum(&noisy, &psi, &v, l);
+            assert!(
+                (split - unsplit).abs() < 1e-10,
+                "level {l}: split {split} vs unsplit {unsplit}"
+            );
         }
     }
 
