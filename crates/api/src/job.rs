@@ -163,7 +163,9 @@ impl<'a> ExpectationJob<'a> {
     /// # Errors
     ///
     /// [`QnsError::SizeMismatch`] if the initial state or observable
-    /// disagrees with the circuit's qubit count.
+    /// disagrees with the circuit's qubit count;
+    /// [`QnsError::InvalidJob`] if a gate parameter, a custom gate
+    /// matrix entry or a Kraus entry is not finite.
     pub fn new(
         noisy: &'a NoisyCircuit,
         initial: impl Into<InitialState>,
@@ -185,6 +187,7 @@ impl<'a> ExpectationJob<'a> {
                 actual: observable.n_qubits(),
             });
         }
+        check_finite(noisy)?;
         Ok(ExpectationJob {
             noisy,
             initial,
@@ -223,6 +226,36 @@ impl<'a> ExpectationJob<'a> {
             self.observable.product(),
         )
     }
+}
+
+/// Refuses circuits whose gates or noise channels carry a NaN or an
+/// infinity: no engine can answer them, and some would answer anyway.
+fn check_finite(noisy: &NoisyCircuit) -> Result<(), QnsError> {
+    let circuit = noisy.circuit();
+    if let Some((i, op)) = circuit
+        .operations()
+        .iter()
+        .enumerate()
+        .find(|(_, op)| !op.gate.is_finite())
+    {
+        return Err(QnsError::InvalidJob {
+            reason: format!("gate {i} ({op}) has a non-finite parameter"),
+        });
+    }
+    if let Some(e) = noisy
+        .initial_events()
+        .iter()
+        .chain(noisy.events())
+        .find(|e| !e.kraus.is_finite())
+    {
+        return Err(QnsError::InvalidJob {
+            reason: format!(
+                "a noise channel on qubit {} has a non-finite Kraus entry",
+                e.qubit
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// One backend's answer to an [`ExpectationJob`].
@@ -426,5 +459,66 @@ impl<'a> Simulation<'a> {
     /// backend reports.
     pub fn run_on(self, backend: &dyn Backend) -> Result<Estimate, QnsError> {
         backend.expectation(&self.build()?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qns_circuit::{Circuit, Gate};
+    use qns_linalg::{c64, Matrix};
+    use qns_noise::{channels, Kraus, NoiseEvent};
+
+    fn refused(noisy: &NoisyCircuit) -> bool {
+        matches!(
+            Simulation::new(noisy).build(),
+            Err(QnsError::InvalidJob { .. })
+        )
+    }
+
+    fn nan_matrix(dim: usize) -> Matrix {
+        let mut m = Matrix::identity(dim);
+        m[(0, 1)] = c64(0.0, f64::NAN);
+        m
+    }
+
+    #[test]
+    fn non_finite_gates_are_refused() {
+        let bad = [
+            Gate::Rx(f64::NAN),
+            Gate::Rz(f64::INFINITY),
+            Gate::Custom1(Box::new(nan_matrix(2))),
+            Gate::FSim(0.1, f64::NEG_INFINITY),
+            Gate::CU(Box::new(nan_matrix(2))),
+            Gate::Custom2(Box::new(nan_matrix(4))),
+        ];
+        for gate in bad {
+            let mut c = Circuit::new(2);
+            let qubits = [0, 1];
+            c.h(0).apply(gate.clone(), &qubits[..gate.arity()]);
+            assert!(refused(&NoisyCircuit::noiseless(c)), "{gate:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_kraus_entries_are_refused() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let bad = Kraus::new(vec![nan_matrix(2)]);
+        let after_gate = NoisyCircuit::new(
+            c.clone(),
+            vec![NoiseEvent {
+                after_gate: 1,
+                qubit: 1,
+                kraus: bad.clone(),
+            }],
+        );
+        assert!(refused(&after_gate));
+        let mut initial = NoisyCircuit::noiseless(c.clone());
+        initial.push_initial(0, bad);
+        assert!(refused(&initial));
+
+        let good = NoisyCircuit::inject_random(c, &channels::depolarizing(0.01), 3, 1);
+        assert!(Simulation::new(&good).build().is_ok());
     }
 }

@@ -3,6 +3,76 @@
 use crate::Gate;
 use qns_linalg::{Complex64, Matrix};
 use std::fmt;
+use std::ops::Deref;
+
+/// The qubits one gate addresses, stored inline (gates act on one or
+/// two qubits). Derefs to `[usize]`.
+#[derive(Clone, Copy)]
+pub struct Qubits {
+    slots: [usize; 2],
+    len: u8,
+}
+
+impl Qubits {
+    /// Copies `qubits` inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubits` holds more than two entries.
+    pub fn new(qubits: &[usize]) -> Self {
+        assert!(qubits.len() <= 2, "gates address at most two qubits");
+        let mut slots = [0; 2];
+        slots[..qubits.len()].copy_from_slice(qubits);
+        Qubits {
+            slots,
+            len: qubits.len() as u8,
+        }
+    }
+}
+
+impl Deref for Qubits {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl AsRef<[usize]> for Qubits {
+    #[inline]
+    fn as_ref(&self) -> &[usize] {
+        self
+    }
+}
+
+impl<'a> IntoIterator for &'a Qubits {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Qubits {
+    fn eq(&self, other: &Qubits) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<usize>> for Qubits {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Qubits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// One gate applied to specific qubits.
 #[derive(Clone, Debug, PartialEq)]
@@ -11,7 +81,7 @@ pub struct Operation {
     pub gate: Gate,
     /// Target qubits (length equals `gate.arity()`; for controlled
     /// gates the first entry is the control).
-    pub qubits: Vec<usize>,
+    pub qubits: Qubits,
 }
 
 impl Operation {
@@ -20,7 +90,8 @@ impl Operation {
     /// # Panics
     ///
     /// Panics if `qubits.len() != gate.arity()` or the qubits repeat.
-    pub fn new(gate: Gate, qubits: Vec<usize>) -> Self {
+    pub fn new(gate: Gate, qubits: impl AsRef<[usize]>) -> Self {
+        let qubits = qubits.as_ref();
         assert_eq!(
             qubits.len(),
             gate.arity(),
@@ -32,7 +103,10 @@ impl Operation {
         if qubits.len() == 2 {
             assert_ne!(qubits[0], qubits[1], "two-qubit gate on identical qubits");
         }
-        Operation { gate, qubits }
+        Operation {
+            gate,
+            qubits: Qubits::new(qubits),
+        }
     }
 }
 
@@ -109,7 +183,7 @@ impl Circuit {
 
     /// Appends `gate` on `qubits`.
     pub fn apply(&mut self, gate: Gate, qubits: &[usize]) -> &mut Self {
-        self.push(Operation::new(gate, qubits.to_vec()))
+        self.push(Operation::new(gate, qubits))
     }
 
     /// Hadamard on `q`.
@@ -184,7 +258,7 @@ impl Circuit {
     pub fn dagger(&self) -> Circuit {
         let mut c = Circuit::new(self.n_qubits);
         for op in self.ops.iter().rev() {
-            c.push(Operation::new(op.gate.dagger(), op.qubits.clone()));
+            c.push(Operation::new(op.gate.dagger(), op.qubits));
         }
         c
     }
@@ -388,6 +462,20 @@ mod tests {
     #[should_panic(expected = "identical qubits")]
     fn duplicate_qubits_panic() {
         let _ = Operation::new(Gate::CZ, vec![1, 1]);
+    }
+
+    #[test]
+    fn qubits_behave_like_the_vec_they_replace() {
+        let op = Operation::new(Gate::CX, vec![2, 0]);
+        assert_eq!(op.qubits, vec![2, 0]);
+        assert_eq!(format!("{:?}", op.qubits), format!("{:?}", vec![2, 0]));
+        assert_eq!(op.to_string(), "CX[2, 0]");
+        assert_eq!(op.qubits.iter().sum::<usize>(), 2);
+        assert_eq!(Operation::new(Gate::CX, op.qubits), op);
+        assert_ne!(Operation::new(Gate::H, [2]).qubits, op.qubits);
+        // One inline slot per gate: no heap block behind the qubits.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Operation>(), 48);
     }
 
     #[test]

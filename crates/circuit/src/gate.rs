@@ -83,6 +83,18 @@ impl Gate {
         }
     }
 
+    /// `true` when every angle and every custom-matrix entry is finite
+    /// (gates without parameters always are).
+    pub fn is_finite(&self) -> bool {
+        use Gate::*;
+        match self {
+            H | X | Y | Z | S | Sdg | T | Tdg | SqrtX | SqrtY | SqrtW | CZ | CX | ISwap => true,
+            Rx(t) | Ry(t) | Rz(t) | Phase(t) | CPhase(t) | Givens(t) | ZZ(t) => t.is_finite(),
+            FSim(t, p) => t.is_finite() && p.is_finite(),
+            Custom1(m) | CU(m) | Custom2(m) => m.as_slice().iter().all(|z| z.is_finite()),
+        }
+    }
+
     /// The gate's unitary matrix (2×2 for 1-qubit, 4×4 for 2-qubit).
     ///
     /// For two-qubit gates the first qubit indexes the more significant

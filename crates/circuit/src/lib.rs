@@ -29,6 +29,6 @@ pub mod generators;
 pub mod optimize;
 pub mod text;
 
-pub use circuit::{Circuit, Operation};
+pub use circuit::{Circuit, Operation, Qubits};
 pub use gate::Gate;
 pub use text::{from_text, to_text, CircuitTextError};

@@ -24,9 +24,9 @@ use qns_linalg::Matrix;
 /// and no operation strictly between them touches any of those qubits.
 fn adjacent_on_qubits(ops: &[Operation], i: usize, j: usize) -> bool {
     let qs = &ops[i].qubits;
-    let mut sorted_a: Vec<usize> = qs.clone();
+    let mut sorted_a: Vec<usize> = qs.to_vec();
     sorted_a.sort_unstable();
-    let mut sorted_b: Vec<usize> = ops[j].qubits.clone();
+    let mut sorted_b: Vec<usize> = ops[j].qubits.to_vec();
     sorted_b.sort_unstable();
     if sorted_a != sorted_b {
         return false;
@@ -163,7 +163,7 @@ pub fn merge_rotations(circuit: &mut Circuit) -> usize {
                 let mut rebuilt = Circuit::new(circuit.n_qubits());
                 for (k, op) in circuit.operations().iter().enumerate() {
                     if k == i {
-                        rebuilt.push(Operation::new(g.clone(), op.qubits.clone()));
+                        rebuilt.push(Operation::new(g.clone(), op.qubits));
                     } else if k != j {
                         rebuilt.push(op.clone());
                     }

@@ -2,6 +2,7 @@
 
 use qns_linalg::{Complex64, Matrix};
 use std::fmt;
+use std::sync::Arc;
 
 /// A quantum channel `E(ρ) = Σ_k E_k ρ E_k†` given by its Kraus
 /// operators.
@@ -9,6 +10,10 @@ use std::fmt;
 /// All operators must be square and share one dimension. The type does
 /// not force trace preservation at construction time (some algorithms
 /// work with sub-normalized pieces); use [`Kraus::is_cptp`] to check.
+///
+/// The operators are immutable after construction and shared: a clone
+/// (one per noise site, say) bumps a reference count instead of
+/// copying the matrices.
 ///
 /// ```
 /// use qns_noise::Kraus;
@@ -19,7 +24,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Kraus {
-    ops: Vec<Matrix>,
+    ops: Arc<[Matrix]>,
     dim: usize,
 }
 
@@ -37,7 +42,10 @@ impl Kraus {
             assert!(op.is_square(), "Kraus operators must be square");
             assert_eq!(op.rows(), dim, "Kraus operators must share a dimension");
         }
-        Kraus { ops, dim }
+        Kraus {
+            ops: ops.into(),
+            dim,
+        }
     }
 
     /// Wraps a unitary as the channel `ρ ↦ UρU†`.
@@ -75,11 +83,18 @@ impl Kraus {
         self.ops.is_empty()
     }
 
+    /// `true` when every entry of every operator is finite.
+    pub fn is_finite(&self) -> bool {
+        self.ops
+            .iter()
+            .all(|e| e.as_slice().iter().all(|z| z.is_finite()))
+    }
+
     /// Checks complete positivity and trace preservation:
     /// `‖Σ E_k†E_k − I‖_max ≤ tol`.
     pub fn is_cptp(&self, tol: f64) -> bool {
         let mut sum = Matrix::zeros(self.dim, self.dim);
-        for e in &self.ops {
+        for e in self.ops.iter() {
             sum = &sum + &e.adjoint().matmul(e);
         }
         (&sum - &Matrix::identity(self.dim)).max_abs() <= tol
@@ -97,7 +112,7 @@ impl Kraus {
             "density matrix dimension mismatch"
         );
         let mut out = Matrix::zeros(self.dim, self.dim);
-        for e in &self.ops {
+        for e in self.ops.iter() {
             out = &out + &e.matmul(rho).matmul(&e.adjoint());
         }
         out
@@ -109,7 +124,7 @@ impl Kraus {
     pub fn superoperator(&self) -> Matrix {
         let d2 = self.dim * self.dim;
         let mut m = Matrix::zeros(d2, d2);
-        for e in &self.ops {
+        for e in self.ops.iter() {
             m = &m + &e.kron(&e.conj());
         }
         m
@@ -133,8 +148,8 @@ impl Kraus {
     pub fn then(&self, other: &Kraus) -> Kraus {
         assert_eq!(self.dim, other.dim, "composition dimension mismatch");
         let mut ops = Vec::with_capacity(self.ops.len() * other.ops.len());
-        for f in &other.ops {
-            for e in &self.ops {
+        for f in other.ops.iter() {
+            for e in self.ops.iter() {
                 ops.push(f.matmul(e));
             }
         }
@@ -144,8 +159,8 @@ impl Kraus {
     /// Tensor product channel `self ⊗ other` acting on the joint system.
     pub fn tensor(&self, other: &Kraus) -> Kraus {
         let mut ops = Vec::with_capacity(self.ops.len() * other.ops.len());
-        for e in &self.ops {
-            for f in &other.ops {
+        for e in self.ops.iter() {
+            for f in other.ops.iter() {
                 ops.push(e.kron(f));
             }
         }

@@ -178,7 +178,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`QnsError::SizeMismatch`] exactly as [`ExpectationJob::new`].
+    /// [`QnsError::SizeMismatch`] and [`QnsError::InvalidJob`] exactly
+    /// as [`ExpectationJob::new`]: a spec with a non-finite gate or
+    /// channel never reaches a queue, an engine or a breaker.
     pub fn new(
         noisy: impl Into<Arc<NoisyCircuit>>,
         initial: impl Into<InitialState>,
@@ -198,11 +200,16 @@ impl JobSpec {
     }
 
     /// The default job on `noisy`: `|0…0⟩` in, `|0…0⟩⟨0…0|` measured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate or channel of `noisy` is not finite; use
+    /// [`JobSpec::new`] to get that as an error.
     pub fn zeros(noisy: impl Into<Arc<NoisyCircuit>>) -> Self {
         let noisy = noisy.into();
         let n = noisy.n_qubits();
         JobSpec::new(noisy, InitialState::zeros(n), Observable::zeros(n))
-            .expect("matching qubit counts by construction")
+            .expect("qubit counts match by construction; gates and channels must be finite")
     }
 
     /// The borrowing [`ExpectationJob`] view backends consume.

@@ -9,10 +9,14 @@
 //!   not just in the cache unit tests.
 //! * **Routing safety** — `Route::Auto` never lands on an engine that
 //!   reports the job `Unsupported`.
+//! * **Input validation** — a spec with a non-finite gate or channel
+//!   is refused when it is built, so no service can execute it, retry
+//!   it or count it against a breaker.
 
 use qns_api::{ApproxBackend, Backend, DensityBackend, Estimate, ExpectationJob, QnsError};
 use qns_circuit::generators::{ghz, qaoa_grid_random};
-use qns_noise::{channels, NoisyCircuit};
+use qns_circuit::Gate;
+use qns_noise::{channels, Kraus, NoisyCircuit};
 use qns_serve::{JobSpec, ServiceBuilder, SharedBackend};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,6 +53,23 @@ impl Backend for CountingBackend {
 
 fn noisy(seed: u64) -> NoisyCircuit {
     NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(1e-3), 2, seed)
+}
+
+#[test]
+fn non_finite_specs_are_refused_before_any_service_sees_them() {
+    let mut nan_angle = ghz(3);
+    nan_angle.rx(1, f64::NAN);
+    let nan_channel = Kraus::from_unitary(Gate::Rx(f64::NAN).matrix());
+    let nan_kraus = NoisyCircuit::inject_random(ghz(3), &nan_channel, 2, 1);
+    for noisy in [NoisyCircuit::noiseless(nan_angle), nan_kraus] {
+        let n = noisy.n_qubits();
+        let refused = JobSpec::new(
+            noisy,
+            qns_api::InitialState::zeros(n),
+            qns_api::Observable::zeros(n),
+        );
+        assert!(matches!(refused, Err(QnsError::InvalidJob { .. })));
+    }
 }
 
 #[test]
