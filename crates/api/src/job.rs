@@ -165,7 +165,10 @@ impl<'a> ExpectationJob<'a> {
     /// [`QnsError::SizeMismatch`] if the initial state or observable
     /// disagrees with the circuit's qubit count;
     /// [`QnsError::InvalidJob`] if a gate parameter, a custom gate
-    /// matrix entry or a Kraus entry is not finite.
+    /// matrix entry or a Kraus entry is not finite, if a noise channel
+    /// is not trace preserving within [`CPTP_TOLERANCE`], or if a
+    /// factor of the initial state or observable is not finite or not
+    /// normalized within [`NORM_TOLERANCE`].
     pub fn new(
         noisy: &'a NoisyCircuit,
         initial: impl Into<InitialState>,
@@ -188,6 +191,9 @@ impl<'a> ExpectationJob<'a> {
             });
         }
         check_finite(noisy)?;
+        check_channels(noisy)?;
+        check_state("input state", initial.product())?;
+        check_state("observable", observable.product())?;
         Ok(ExpectationJob {
             noisy,
             initial,
@@ -254,6 +260,64 @@ fn check_finite(noisy: &NoisyCircuit) -> Result<(), QnsError> {
                 e.qubit
             ),
         });
+    }
+    Ok(())
+}
+
+/// Largest `‖Σ E_k†E_k − I‖_max` a noise channel may show and still
+/// count as trace preserving ([`qns_noise::Kraus::is_cptp`]). Every
+/// shipped channel is within rounding of zero; the bound leaves room
+/// for channels composed or pruned by callers.
+pub const CPTP_TOLERANCE: f64 = 1e-9;
+
+/// Largest `| |a|² + |b|² − 1 |` a product-state factor `(a, b)` of an
+/// initial state or observable may show.
+pub const NORM_TOLERANCE: f64 = 1e-9;
+
+/// Refuses noise channels that are not trace preserving: every engine
+/// would answer, none correctly. Clones of one channel share their
+/// operators, so a set is not checked again while it is among the
+/// last few distinct sets checked (without allocating: serving
+/// validates a job per request).
+fn check_channels(noisy: &NoisyCircuit) -> Result<(), QnsError> {
+    let mut checked: [Option<&qns_noise::Kraus>; 4] = [None; 4];
+    let mut next = 0;
+    for e in noisy.initial_events().iter().chain(noisy.events()) {
+        if checked
+            .iter()
+            .flatten()
+            .any(|k| k.shares_operators(&e.kraus))
+        {
+            continue;
+        }
+        if !e.kraus.is_cptp(CPTP_TOLERANCE) {
+            return Err(QnsError::InvalidJob {
+                reason: format!(
+                    "a noise channel on qubit {} is not trace preserving \
+                     (tolerance {CPTP_TOLERANCE:e})",
+                    e.qubit
+                ),
+            });
+        }
+        checked[next % checked.len()] = Some(&e.kraus);
+        next += 1;
+    }
+    Ok(())
+}
+
+/// Refuses a product state with a non-finite or unnormalized factor.
+fn check_state(what: &str, state: &ProductState) -> Result<(), QnsError> {
+    for q in 0..state.n_qubits() {
+        let [a, b] = state.factor(q);
+        let norm = a.norm_sqr() + b.norm_sqr();
+        if !(a.is_finite() && b.is_finite()) || (norm - 1.0).abs() > NORM_TOLERANCE {
+            return Err(QnsError::InvalidJob {
+                reason: format!(
+                    "{what} factor on qubit {q} has squared norm {norm} \
+                     (must be finite and 1 within {NORM_TOLERANCE:e})"
+                ),
+            });
+        }
     }
     Ok(())
 }
@@ -520,5 +584,61 @@ mod tests {
 
         let good = NoisyCircuit::inject_random(c, &channels::depolarizing(0.01), 3, 1);
         assert!(Simulation::new(&good).build().is_ok());
+    }
+
+    fn bell() -> Circuit {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        c
+    }
+
+    #[test]
+    fn non_cptp_channels_are_refused() {
+        // One Kraus operator diag(1.5, 1) as initial noise.
+        let mut grow = Matrix::identity(2);
+        grow[(0, 0)] = c64(1.5, 0.0);
+        let mut noisy = NoisyCircuit::noiseless(bell());
+        noisy.push_initial(0, Kraus::new(vec![grow]));
+        assert!(refused(&noisy));
+    }
+
+    #[test]
+    fn non_finite_or_unnormalized_states_are_refused() {
+        let noisy = NoisyCircuit::noiseless(bell());
+        let one = [c64(1.0, 0.0), c64(0.0, 0.0)];
+        let nan = [c64(f64::NAN, 0.0), c64(0.0, 0.0)];
+        let three = [c64(3.0, 0.0), c64(0.0, 0.0)];
+        for bad in [nan, three] {
+            let state = ProductState::from_factors(vec![bad, one]);
+            for job in [
+                ExpectationJob::new(&noisy, state.clone(), Observable::zeros(2)),
+                ExpectationJob::new(&noisy, InitialState::zeros(2), state.clone()),
+            ] {
+                assert!(matches!(job, Err(QnsError::InvalidJob { .. })), "{bad:?}");
+            }
+        }
+        let plus = ProductState::all_plus(2);
+        assert!(ExpectationJob::new(&noisy, plus.clone(), plus).is_ok());
+    }
+
+    #[test]
+    fn every_shipped_channel_is_accepted() {
+        let mut shipped = channels::catalogue(0.05);
+        shipped.extend([
+            ("pauli", channels::pauli_channel(0.01, 0.02, 0.03)),
+            ("thermal", channels::thermal_relaxation(30.0, 40.0, 25.0)),
+            (
+                "thermal_long",
+                channels::thermal_relaxation(30.0, 40.0, 200.0),
+            ),
+            ("overrotation", channels::coherent_overrotation('y', 0.05)),
+            ("full_depolarizing", channels::depolarizing(1.0)),
+            ("full_damping", channels::amplitude_damping(1.0)),
+        ]);
+        for (name, ch) in shipped {
+            let mut noisy = NoisyCircuit::inject_random(bell(), &ch, 4, 3);
+            noisy.push_initial(1, ch);
+            assert!(Simulation::new(&noisy).build().is_ok(), "{name}");
+        }
     }
 }

@@ -52,7 +52,9 @@ pub use backends::{
 };
 pub use batch::{compare_backends, run_batch, run_batch_parallel};
 pub use fingerprint::{Fingerprint, Fingerprinter};
-pub use job::{Estimate, ExpectationJob, InitialState, Observable, Simulation};
+pub use job::{
+    Estimate, ExpectationJob, InitialState, Observable, Simulation, CPTP_TOLERANCE, NORM_TOLERANCE,
+};
 pub use refine::{partial_sum_key, PartialEstimate, Refinement};
 
 // Re-exported so downstream code can name every type in a facade

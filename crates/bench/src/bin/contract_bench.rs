@@ -27,10 +27,11 @@
 //!
 //! A third section runs the **level-3** sum through
 //! `LevelEvaluator`, whose levels ≥ 2 read single-site subtrees from a
-//! per-run memo and recompute only the tree nodes with two or more
-//! non-dominant sites below them, and reports contraction steps per
-//! pattern for delta replay and for the memoized replay under
-//! `"memo"` in the JSON.
+//! per-run memo and run every tree node with two or more non-dominant
+//! sites below it once per site subset, over all their term
+//! combinations (the subset-batched path). It reports µs and
+//! contraction-step runs per pattern for delta replay and for the
+//! batched path under `"memo"` in the JSON.
 //!
 //! Six invariants are *asserted* on every run (and gate CI via
 //! `--smoke`):
@@ -45,8 +46,8 @@
 //!    allocations**,
 //! 5. the evaluator's level-3 contribution is **bit-identical** to the
 //!    reference-path sum of the same Gray-ordered patterns, and
-//! 6. the memoized level-3 pass performs **zero workspace
-//!    allocations** after the lower levels have warmed the evaluator.
+//! 6. the batched level-3 pass grows **no workspace or batch buffer**
+//!    after sizing them for the level, before its first subset.
 
 use qns_bench::registry::{default_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
@@ -210,22 +211,22 @@ fn gray_level(n_sites: usize, u: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// One workload's level-3 comparison: delta replay and the memoized
+/// One workload's level-3 comparison: delta replay and the batched
 /// `LevelEvaluator` pass over the same Gray-ordered patterns.
 struct MemoRow {
     name: String,
     patterns: usize,
     delta_us: f64,
-    memo_us: f64,
+    batched_us: f64,
     delta_steps: f64,
-    memo_steps: f64,
+    batched_steps: f64,
 }
 
 /// Runs the level-`level` patterns through delta replay and through a
 /// sequential `LevelEvaluator` (levels below `level` warm it and build
 /// its memo), asserting the evaluator's contribution equals the
-/// reference-path sum bit for bit and that its memoized pass grows no
-/// workspace.
+/// reference-path sum bit for bit and that its batched pass grows no
+/// buffer after sizing them for the level.
 fn memo_row(w: &mut Workload, level: usize) -> MemoRow {
     let pats = gray_level(w.payloads.len(), level);
     let n_pats = pats.len().max(1) as f64;
@@ -244,7 +245,7 @@ fn memo_row(w: &mut Workload, level: usize) -> MemoRow {
     let warm_allocs = eval.workspace_allocations();
     let steps_before = eval.stats().contractions;
     let (partial, seconds) = time_it(|| eval.advance().expect("top level"));
-    let memo_steps = eval.stats().contractions - steps_before;
+    let batched_steps = eval.stats().contractions - steps_before;
 
     assert_eq!(
         partial.level_contribution.to_bits(),
@@ -255,16 +256,16 @@ fn memo_row(w: &mut Workload, level: usize) -> MemoRow {
     assert_eq!(
         eval.workspace_allocations(),
         warm_allocs,
-        "{}: memoized level-{level} pass allocated workspace memory",
+        "{}: batched level-{level} pass grew a buffer after sizing it",
         w.name
     );
     MemoRow {
         name: w.name.clone(),
         patterns: pats.len(),
         delta_us: delta.seconds * 1e6 / n_pats,
-        memo_us: seconds * 1e6 / n_pats,
+        batched_us: seconds * 1e6 / n_pats,
         delta_steps: delta_steps as f64 / n_pats,
-        memo_steps: memo_steps as f64 / n_pats,
+        batched_steps: batched_steps as f64 / n_pats,
     }
 }
 
@@ -509,21 +510,21 @@ fn main() {
         .powf(1.0 / inc_rows.len().max(1) as f64);
     println!("\ngeometric-mean incremental speedup: {inc_geomean:.2}x");
 
-    // ── Memoized level-3 sum vs delta replay ──
+    // ── Subset-batched level-3 sum vs delta replay ──
     // Levels ≥ 2 read every subtree with at most one non-dominant site
-    // from the evaluator's per-run memo; only nodes with two or more
-    // such sites below them are recomputed.
+    // from the evaluator's per-run memo; nodes with two or more such
+    // sites below them run once per subset over all term combinations.
     let memo_level = 3usize.min(noises);
-    println!("\nmemoized (level {memo_level}, LevelEvaluator) vs delta replay\n");
+    println!("\nsubset-batched (level {memo_level}, LevelEvaluator) vs delta replay\n");
     let memo_widths = [14usize, 10, 14, 14, 12, 12];
     print_row(
         &[
             "workload".into(),
             "patterns".into(),
             "delta µs/pat".into(),
-            "memo µs/pat".into(),
+            "batch µs/pat".into(),
             "delta steps".into(),
-            "memo steps".into(),
+            "batch steps".into(),
         ],
         &memo_widths,
     );
@@ -536,9 +537,9 @@ fn main() {
                 row.name.clone(),
                 row.patterns.to_string(),
                 format!("{:.1}", row.delta_us),
-                format!("{:.1}", row.memo_us),
+                format!("{:.2}", row.batched_us),
                 format!("{:.2}", row.delta_steps),
-                format!("{:.2}", row.memo_steps),
+                format!("{:.2}", row.batched_steps),
             ],
             &memo_widths,
         );
@@ -572,9 +573,9 @@ fn main() {
         .map(|r| {
             format!(
                 "{{\"workload\":\"{}\",\"patterns\":{},\"delta_us_per_pattern\":{:.2},\
-                 \"memo_us_per_pattern\":{:.2},\"delta_steps_per_pattern\":{:.2},\
-                 \"memo_steps_per_pattern\":{:.2}}}",
-                r.name, r.patterns, r.delta_us, r.memo_us, r.delta_steps, r.memo_steps
+                 \"batched_us_per_pattern\":{:.2},\"delta_steps_per_pattern\":{:.2},\
+                 \"batched_steps_per_pattern\":{:.2}}}",
+                r.name, r.patterns, r.delta_us, r.batched_us, r.delta_steps, r.batched_steps
             )
         })
         .collect();

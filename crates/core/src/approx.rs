@@ -47,23 +47,36 @@
 //! performance change; workers that start cold fall back to one full
 //! replay automatically.
 //!
-//! # Memoized single-site subtrees (levels ≥ 2)
+//! # Subset-batched level sums (levels ≥ 2)
 //!
-//! At level `u ≥ 2` a pattern has `u` non-dominant sites, and a tree
-//! node whose subtree holds at most one of them takes one of only
-//! `1 + 3N` values per run: the all-dominant baseline, or one site at
-//! one sub-dominant term with every other site dominant — exactly the
-//! intermediates of the level-0 and level-1 amplitudes. A per-run memo
-//! records them once (one single-site pass, `1 + 3N` delta replays per
-//! half, built by [`crate::refine::LevelEvaluator`] at its first level
-//! ≥ 2). Per pattern the memo evaluator then recomputes only the nodes
-//! whose subtree holds **at least two** non-dominant sites, one of
-//! which changed, reading a child with exactly one such site from the
-//! memo and a child with none from the baseline
-//! ([`ExecutablePlan::execute_network_steps_scalar`]). Every value
-//! read is the value a full replay would compute (the memo entries
-//! *are* full-replay values of the same subtree inputs), and the same
-//! kernel runs on it, so amplitudes and sums stay bit-identical.
+//! At level `u ≥ 2` the `3^u` patterns of one non-dominant subset `S`
+//! differ only in the payloads at `S`, and each half's amplitude is
+//! multilinear in them. So the evaluator takes one subset at a time:
+//!
+//! * **Memo.** A tree node whose subtree holds at most one active site
+//!   takes one of only `1 + 3N` values per run: the all-dominant
+//!   baseline, or one site at one sub-dominant term. A per-run
+//!   `SplitMemo` records them (plus each site's three payloads) in
+//!   one single-site pass of `2 + 3N` delta replays per half, built by
+//!   [`crate::refine::LevelEvaluator`] at its first level ≥ 2.
+//! * **Batched steps.** Every node with at least two active sites below
+//!   it runs once per subset, over all `3^b` term combinations of its
+//!   `b` active sites ([`ExecutablePlan::execute_step_batch`]): each
+//!   active site's operand carries a free batch leg of size 3, read
+//!   from the memo. Each half then yields all `3^|S|` root amplitudes,
+//!   and `amp_up[t]·amp_lo[t]` is folded in the Gray stream's order.
+//!   Beyond six active sites the program runs once per *slab*: the
+//!   first six sites stay batched and the others take the fixed terms
+//!   of `3^6` consecutive patterns, which bounds a step's values.
+//!
+//! Why the bits survive: a batch leg is never contracted, so every
+//! output value is the fused kernel run on exactly the operands a
+//! per-pattern replay of that term combination reads — the same `k`
+//! order, the same zero-skip — and the memo entries *are* full-replay
+//! values of the same subtree inputs. The products are added in the
+//! same order, sequentially into one accumulator and in parallel into
+//! the same 32-pattern chunk sums, because a worker's unit of 32 slabs
+//! (32 subsets up to six active sites) is exactly `3^b` whole chunks.
 
 use crate::noise_svd::NoiseSvd;
 use crate::patterns::{GrayPatternStream, TERM_UNSET};
@@ -72,9 +85,9 @@ use qns_linalg::{Complex64, Matrix};
 use qns_noise::{NoiseEvent, NoisyCircuit, QnsError};
 use qns_tensor::Tensor;
 use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
-use qns_tnet::exec::{ExecutablePlan, Workspace};
-use qns_tnet::network::{ContractionStats, OrderStrategy};
-use std::sync::Mutex;
+use qns_tnet::exec::{Batch, ExecutablePlan, Workspace};
+use qns_tnet::network::{ContractionStats, OrderStrategy, TensorNetwork};
+use std::sync::{Mutex, PoisonError};
 
 /// Options for [`approximate_expectation`].
 ///
@@ -264,9 +277,8 @@ pub(crate) fn build_split(
 /// — bit-identical to a full replay, but `O(changes · tree depth)`
 /// contractions under the minimal-change [`GrayPatternStream`] order.
 /// A cold workspace (a worker's first pattern) falls back to one full
-/// replay inside the executor; no coordination is needed. With a
-/// [`SplitMemo`] the same state drives the memoized replay instead
-/// ([`SplitDelta::evaluate_memo`]).
+/// replay inside the executor; no coordination is needed. Levels 0–1
+/// and the [`SplitMemo`] build run through it.
 pub(crate) struct SplitDelta {
     /// Term installed at each site (`TERM_UNSET` before the first
     /// pattern, so every site reads as changed).
@@ -280,14 +292,6 @@ pub(crate) struct SplitDelta {
     /// evict the warm arena on every pattern.
     ws_up: Workspace,
     ws_lo: Workspace,
-    /// Per-half (upper, lower) step programs of the memoized replay,
-    /// created at its first pattern.
-    programs: Option<[StepProgram; 2]>,
-    /// Whether both arenas hold the memoized replay's invariant: every
-    /// step with ≥ 2 non-dominant sites below it caches its value for
-    /// `current`. Cleared by any ordinary replay through the
-    /// workspaces.
-    memo_warm: bool,
 }
 
 impl SplitDelta {
@@ -299,8 +303,6 @@ impl SplitDelta {
             changed: Vec::with_capacity(n_sites),
             ws_up: Workspace::for_plan(&shared.up),
             ws_lo: Workspace::for_plan(&shared.lo),
-            programs: None,
-            memo_warm: false,
         }
     }
 
@@ -311,17 +313,10 @@ impl SplitDelta {
     }
 
     /// Installs the payloads of every site whose term differs from
-    /// `current`, recording those sites in `changed`. Returns whether
-    /// any site entered or left the non-dominant subset.
+    /// `current`, recording those sites in `changed`.
     // qns-lint: zero-alloc
-    fn install(
-        &mut self,
-        skels: &mut SplitSkeletons,
-        shared: &SplitShared,
-        assignment: &[usize],
-    ) -> bool {
+    fn install(&mut self, skels: &mut SplitSkeletons, shared: &SplitShared, assignment: &[usize]) {
         self.changed.clear();
-        let mut subset_changed = false;
         for (i, (&term, cur)) in assignment.iter().zip(&mut self.current).enumerate() {
             if term == *cur {
                 continue;
@@ -329,11 +324,9 @@ impl SplitDelta {
             let (u, v) = &shared.payloads[i][term];
             skels.upper.set_insertion_payload(i, u);
             skels.lower.set_insertion_payload(i, v);
-            subset_changed |= *cur == TERM_UNSET || (term == 0) != (*cur == 0);
             self.changed.push(i);
             *cur = term;
         }
-        subset_changed
     }
 
     /// Evaluates one substitution pattern incrementally. Returns
@@ -348,7 +341,6 @@ impl SplitDelta {
         stats: &mut ContractionStats,
     ) -> Complex64 {
         self.install(skels, shared, assignment);
-        self.memo_warm = false;
         self.dirty_up.clear();
         self.dirty_lo.clear();
         for &i in &self.changed {
@@ -369,173 +361,24 @@ impl SplitDelta {
         stats.absorb(&st_lo);
         amp_up * amp_lo
     }
-
-    /// [`SplitDelta::evaluate`] through the single-site memo: per half,
-    /// recomputes only the steps with at least two non-dominant sites
-    /// below them, one of which changed, reading every other child
-    /// from `memo` — bit-identical to a full replay (see the module
-    /// docs). The step programs are rebuilt when the non-dominant
-    /// subset changes.
-    // qns-lint: zero-alloc
-    fn evaluate_memo(
-        &mut self,
-        skels: &mut SplitSkeletons,
-        shared: &SplitShared,
-        memo: &SplitMemo,
-        assignment: &[usize],
-        stats: &mut ContractionStats,
-    ) -> Complex64 {
-        let subset_changed = self.install(skels, shared, assignment);
-        let cold = !self.memo_warm;
-        let n_sites = self.current.len();
-        let [prog_up, prog_lo] = self.programs.get_or_insert_with(|| {
-            [
-                StepProgram::new(&shared.up, n_sites),
-                StepProgram::new(&shared.lo, n_sites),
-            ]
-        });
-        for (prog, half) in [(&mut *prog_up, &memo.up), (&mut *prog_lo, &memo.lo)] {
-            if cold || subset_changed {
-                prog.rebuild(half, &self.current);
-            }
-            prog.select(half, &self.changed, cold);
-        }
-        let (amp_up, st_up) = memo.up.replay(
-            &shared.up,
-            skels.upper.network(),
-            prog_up,
-            &self.current,
-            &mut self.ws_up,
-        );
-        let (amp_lo, st_lo) = memo.lo.replay(
-            &shared.lo,
-            skels.lower.network(),
-            prog_lo,
-            &self.current,
-            &mut self.ws_lo,
-        );
-        self.memo_warm = true;
-        stats.absorb(&st_up);
-        stats.absorb(&st_lo);
-        amp_up * amp_lo
-    }
-}
-
-/// Where a step's output comes from in the memoized replay.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Source {
-    /// No non-dominant site below: the memo's baseline.
-    Baseline,
-    /// Exactly one, `site`: its memo entry for the site's current
-    /// term, `offset` elements into the term block.
-    Single { site: usize, offset: usize },
-    /// Two or more: computed into (and cached in) the workspace arena.
-    Computed,
-}
-
-/// The per-subset step program of one half for the memoized replay.
-/// All buffers are sized once from the plan, so rebuilding and
-/// selecting never allocate.
-pub(crate) struct StepProgram {
-    /// Source of every step's output, indexed by step.
-    source: Vec<Source>,
-    /// Non-dominant sites below every step.
-    below: Vec<u32>,
-    /// Steps of [`Source::Computed`], ascending.
-    computed: Vec<u32>,
-    /// Non-dominant sites the program was built for.
-    active: Vec<usize>,
-    /// Per step: lies on a changed site's path (scratch of `select`).
-    dirty: Vec<bool>,
-    /// The steps the current pattern runs, ascending.
-    run: Vec<u32>,
-}
-
-impl StepProgram {
-    fn new(plan: &ExecutablePlan, n_sites: usize) -> StepProgram {
-        let steps = plan.step_count();
-        StepProgram {
-            source: vec![Source::Baseline; steps],
-            below: vec![0; steps],
-            computed: Vec::with_capacity(steps),
-            active: Vec::with_capacity(n_sites),
-            dirty: vec![false; steps],
-            run: Vec::with_capacity(steps),
-        }
-    }
-
-    /// Re-derives every step's source for the non-dominant subset of
-    /// `terms`. Touches only the leaf paths of the old and new subsets.
-    // qns-lint: zero-alloc
-    fn rebuild(&mut self, half: &HalfMemo, terms: &[usize]) {
-        for &site in &self.active {
-            for &s in half.path(site) {
-                self.source[s as usize] = Source::Baseline;
-                self.below[s as usize] = 0;
-            }
-        }
-        self.active.clear();
-        self.computed.clear();
-        for (site, &term) in terms.iter().enumerate() {
-            if term == 0 {
-                continue;
-            }
-            self.active.push(site);
-            let mut offset = 0;
-            for &s in half.path(site) {
-                let s = s as usize;
-                self.below[s] += 1;
-                self.source[s] = match self.below[s] {
-                    1 => Source::Single { site, offset },
-                    _ => Source::Computed,
-                };
-                if self.below[s] == 2 {
-                    self.computed.push(s as u32);
-                }
-                offset += half.len(s);
-            }
-        }
-        self.computed.sort_unstable();
-    }
-
-    /// Selects the computed steps the pattern must rerun: all of them
-    /// when `cold`, otherwise those on a changed site's path.
-    // qns-lint: zero-alloc
-    fn select(&mut self, half: &HalfMemo, changed: &[usize], cold: bool) {
-        self.run.clear();
-        if cold {
-            self.run.extend_from_slice(&self.computed);
-            return;
-        }
-        for &site in changed {
-            for &s in half.path(site) {
-                self.dirty[s as usize] = true;
-            }
-        }
-        for &s in &self.computed {
-            if self.dirty[s as usize] {
-                self.run.push(s);
-            }
-        }
-        for &site in changed {
-            for &s in half.path(site) {
-                self.dirty[s as usize] = false;
-            }
-        }
-    }
 }
 
 /// The read-only single-site memo of one split half: every step's
-/// output at the all-dominant assignment, and every step on a site's
-/// leaf-to-root path with that site at each sub-dominant term.
+/// output at the all-dominant assignment, and per site its three
+/// sub-dominant payloads with the outputs of the steps on its
+/// leaf-to-root path.
 pub(crate) struct HalfMemo {
     /// Step `s`'s baseline output is `baseline[offsets[s]..offsets[s + 1]]`.
     baseline: Vec<Complex64>,
     offsets: Vec<usize>,
+    /// Per site: the plan input slot of its insertion.
+    slots: Vec<usize>,
     /// Per site: its insertion leaf's path, ascending.
     paths: Vec<Vec<u32>>,
-    /// Per site: terms 1, 2, 3 as consecutive blocks, each the
-    /// concatenated outputs of the site's path steps.
+    /// Elements of one insertion payload.
+    leaf_len: usize,
+    /// Per site: terms 1, 2, 3 as consecutive blocks, each the term's
+    /// payload followed by the outputs of the site's path steps.
     sites: Vec<Vec<Complex64>>,
 }
 
@@ -555,28 +398,35 @@ impl HalfMemo {
         for s in 0..plan.step_count() {
             baseline.extend_from_slice(plan.step_output(s, ws));
         }
-        let paths: Vec<Vec<u32>> = (0..n_sites)
-            .map(|i| plan.leaf_path(skel.insertion_slot(i)).to_vec())
-            .collect();
+        let slots: Vec<usize> = (0..n_sites).map(|i| skel.insertion_slot(i)).collect();
+        let paths: Vec<Vec<u32>> = slots.iter().map(|&l| plan.leaf_path(l).to_vec()).collect();
+        let leaf_len = slots
+            .first()
+            .map_or(0, |&l| skel.network().node_tensor(l).len());
         // Exact capacities: the memo lives as long as the evaluator.
         let sites = paths
             .iter()
             .map(|path| {
                 let block: usize = path.iter().map(|&s| plan.step_output_len(s as usize)).sum();
-                Vec::with_capacity(3 * block)
+                Vec::with_capacity(3 * (leaf_len + block))
             })
             .collect();
         HalfMemo {
             baseline,
             offsets,
+            slots,
             paths,
+            leaf_len,
             sites,
         }
     }
 
-    /// Appends the outputs of `site`'s path steps from `ws` (warm at
-    /// `site`'s next sub-dominant term) as the site's next term block.
-    fn capture(&mut self, site: usize, plan: &ExecutablePlan, ws: &Workspace) {
+    /// Appends `payload` and the outputs of `site`'s path steps from
+    /// `ws` (warm at the site's next sub-dominant term) as the site's
+    /// next term block.
+    fn capture(&mut self, site: usize, payload: &Tensor, plan: &ExecutablePlan, ws: &Workspace) {
+        assert_eq!(payload.len(), self.leaf_len, "insertion payload length");
+        self.sites[site].extend_from_slice(payload.as_slice());
         for &s in &self.paths[site] {
             self.sites[site].extend_from_slice(plan.step_output(s as usize, ws));
         }
@@ -590,39 +440,23 @@ impl HalfMemo {
         self.offsets[step + 1] - self.offsets[step]
     }
 
-    /// Step `step`'s output for the program's source (`None`: arena).
+    /// The three sub-dominant values of `site` found `offset` elements
+    /// into each of its term blocks (`0`: the payloads themselves).
     // qns-lint: zero-alloc
-    fn operand(&self, step: usize, prog: &StepProgram, terms: &[usize]) -> Option<&[Complex64]> {
-        let len = self.len(step);
-        match prog.source[step] {
-            Source::Baseline => Some(&self.baseline[self.offsets[step]..][..len]),
-            Source::Single { site, offset } => {
-                let data = &self.sites[site];
-                let block = data.len() / 3;
-                Some(&data[(terms[site] - 1) * block + offset..][..len])
-            }
-            Source::Computed => None,
+    fn terms(&self, site: usize, offset: usize) -> Batch<'_> {
+        let data = &self.sites[site];
+        Batch {
+            data: &data[offset..],
+            stride: data.len() / 3,
+            count: 3,
         }
-    }
-
-    /// Runs `prog`'s selected steps of `plan` and returns the amplitude.
-    // qns-lint: zero-alloc
-    fn replay(
-        &self,
-        plan: &ExecutablePlan,
-        net: &qns_tnet::network::TensorNetwork,
-        prog: &StepProgram,
-        terms: &[usize],
-        ws: &mut Workspace,
-    ) -> (Complex64, ContractionStats) {
-        plan.execute_network_steps_scalar(net, &prog.run, |s| self.operand(s, prog, terms), ws)
     }
 }
 
 /// The per-run single-site memo of both split halves, built lazily at
 /// the first level ≥ 2 and read-only afterwards (shared by every
 /// worker). Memory per half: the plan's arena plus, per site, three
-/// times the sizes of its path's intermediates.
+/// times its payload and the sizes of its path's intermediates.
 pub(crate) struct SplitMemo {
     up: HalfMemo,
     lo: HalfMemo,
@@ -631,9 +465,11 @@ pub(crate) struct SplitMemo {
 impl SplitMemo {
     /// Builds the memo by one single-site pass through `delta`: the
     /// all-dominant pattern, then every site at terms 1–3 with every
-    /// other site dominant (`1 + 3N` ordinary delta replays per half,
-    /// whose contractions are absorbed into `stats`; they replay no
-    /// pattern of the sum, so `plan_reuses` is untouched).
+    /// other site dominant, then the all-dominant pattern again, which
+    /// leaves `skels` holding the dominant payloads the subset programs
+    /// read (`2 + 3N` ordinary delta replays per half, whose
+    /// contractions are absorbed into `stats`; they replay no pattern
+    /// of the sum, so `plan_reuses` is untouched).
     pub(crate) fn build(
         skels: &mut SplitSkeletons,
         shared: &SplitShared,
@@ -650,14 +486,446 @@ impl SplitMemo {
             for term in 1..=3 {
                 assignment[site] = term;
                 delta.evaluate(skels, shared, &assignment, &mut replays);
-                up.capture(site, &shared.up, &delta.ws_up);
-                lo.capture(site, &shared.lo, &delta.ws_lo);
+                let (u, v) = &shared.payloads[site][term];
+                up.capture(site, u, &shared.up, &delta.ws_up);
+                lo.capture(site, v, &shared.lo, &delta.ws_lo);
             }
             assignment[site] = 0;
         }
+        delta.evaluate(skels, shared, &assignment, &mut replays);
         replays.plan_reuses = 0;
         stats.absorb(&replays);
         SplitMemo { up, lo }
+    }
+}
+
+/// Input-slot marker: no active site's insertion.
+const NO_SITE: usize = usize::MAX;
+
+/// Active sites whose terms one program run batches. A subset with
+/// more runs once per term combination of the others (a *slab* of
+/// `3^MAX_BATCHED` consecutive patterns in Gray order), so a step holds
+/// at most 729 values whatever the level.
+const MAX_BATCHED: usize = 6;
+
+/// Where a step's values come from in a subset program.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Source {
+    /// No active site below: one value, the memo's baseline.
+    Baseline,
+    /// Exactly one, the `pos`-th active site: its memo values, `offset`
+    /// elements into each of the site's term blocks (three if the site
+    /// is batched, else the one of its fixed term).
+    Single { pos: usize, offset: usize },
+    /// Two or more: `3^b` values computed into the batch buffer, `b`
+    /// the batched sites below.
+    Computed,
+}
+
+/// One half's step program for one subset of active (non-dominant)
+/// sites, of which the first `b` are batched. Every step with at least
+/// two active sites below it runs once per run, over all term
+/// combinations of its batched sites: its values are indexed
+/// `t = t_lhs · count_rhs + t_rhs` by its operands' value indices, as
+/// [`ExecutablePlan::execute_step_batch`] packs them. All buffers are
+/// sized once from the plan, so laying out and running never allocate.
+pub(crate) struct SubsetProgram {
+    /// Source of every step's values, indexed by step.
+    source: Vec<Source>,
+    /// Active sites below every step.
+    below: Vec<u32>,
+    /// Batched active sites below every step.
+    batched: Vec<u32>,
+    /// Per computed step below the root: offset of its values in the
+    /// batch buffer.
+    region: Vec<usize>,
+    /// Per input slot: the position of the active site inserted there,
+    /// or [`NO_SITE`].
+    leaf_pos: Vec<usize>,
+    /// The active sites, ascending.
+    active: Vec<usize>,
+    /// How many leading active sites are batched.
+    b: usize,
+    /// Steps of [`Source::Computed`], ascending (the root last).
+    computed: Vec<u32>,
+    /// Per batched site: the weight of its term digit in the root's
+    /// value index.
+    weights: Vec<usize>,
+    /// Buffer regions in use while laying out: `(start, end, step)`,
+    /// ascending by `start`.
+    live: Vec<(usize, usize, usize)>,
+    /// Batch-buffer elements the program needs.
+    peak: usize,
+}
+
+impl SubsetProgram {
+    fn new(plan: &ExecutablePlan, n_sites: usize) -> SubsetProgram {
+        let steps = plan.step_count();
+        SubsetProgram {
+            source: vec![Source::Baseline; steps],
+            below: vec![0; steps],
+            batched: vec![0; steps],
+            region: vec![0; steps],
+            leaf_pos: vec![NO_SITE; plan.n_inputs()],
+            active: Vec::with_capacity(n_sites),
+            b: 0,
+            computed: Vec::with_capacity(steps),
+            weights: Vec::with_capacity(n_sites),
+            live: Vec::with_capacity(steps),
+            peak: 0,
+        }
+    }
+
+    /// Batched active sites below `slot`.
+    fn batched_below(&self, plan: &ExecutablePlan, slot: usize) -> u32 {
+        match slot.checked_sub(plan.n_inputs()) {
+            None => u32::from(self.leaf_pos[slot] < self.b),
+            Some(step) => self.batched[step],
+        }
+    }
+
+    /// Number of values of a computed step.
+    fn values(&self, step: usize) -> usize {
+        3usize.pow(self.batched[step])
+    }
+
+    /// Derives every step's source for the active `sites` (ascending),
+    /// the first `min(|sites|, MAX_BATCHED)` batched, and lays the
+    /// computed steps out in the batch buffer. Touches only the leaf
+    /// paths of the old and new subsets.
+    // qns-lint: zero-alloc
+    fn layout(&mut self, half: &HalfMemo, plan: &ExecutablePlan, sites: &[usize]) {
+        for &site in &self.active {
+            self.leaf_pos[half.slots[site]] = NO_SITE;
+            for &s in half.path(site) {
+                self.source[s as usize] = Source::Baseline;
+                self.below[s as usize] = 0;
+                self.batched[s as usize] = 0;
+            }
+        }
+        self.active.clear();
+        self.active.extend_from_slice(sites);
+        self.b = sites.len().min(MAX_BATCHED);
+        self.computed.clear();
+        for (pos, &site) in sites.iter().enumerate() {
+            self.leaf_pos[half.slots[site]] = pos;
+            let mut offset = half.leaf_len;
+            for &s in half.path(site) {
+                let s = s as usize;
+                self.below[s] += 1;
+                self.batched[s] += u32::from(pos < self.b);
+                match self.below[s] {
+                    1 => self.source[s] = Source::Single { pos, offset },
+                    2 => {
+                        self.source[s] = Source::Computed;
+                        self.computed.push(s as u32);
+                    }
+                    _ => {}
+                }
+                offset += half.len(s);
+            }
+        }
+        self.computed.sort_unstable();
+        self.allocate(half, plan);
+    }
+
+    /// First-fit layout of the computed steps' values below the root
+    /// (which writes the caller's root buffer): a region is reused once
+    /// the step consuming it has run. Sets `region` and `peak`.
+    // qns-lint: zero-alloc
+    fn allocate(&mut self, half: &HalfMemo, plan: &ExecutablePlan) {
+        let root = plan.step_count() - 1;
+        self.live.clear();
+        self.peak = 0;
+        for i in 0..self.computed.len() {
+            let s = self.computed[i] as usize;
+            if s == root {
+                continue;
+            }
+            let len = half.len(s) * self.values(s);
+            let mut start = 0;
+            let mut at = self.live.len();
+            for (k, &(lo, hi, _)) in self.live.iter().enumerate() {
+                if lo >= start + len {
+                    at = k;
+                    break;
+                }
+                start = hi;
+            }
+            self.live.insert(at, (start, start + len, s));
+            self.region[s] = start;
+            self.peak = self.peak.max(start + len);
+            for child in plan.step_children(s) {
+                if let Some(c) = child.checked_sub(plan.n_inputs()) {
+                    self.live.retain(|&(_, _, step)| step != c);
+                }
+            }
+        }
+    }
+
+    /// Sets every batched site's digit weight in the root's value index:
+    /// the product, over the computed steps its path enters from the
+    /// lhs, of the rhs operand's value count.
+    // qns-lint: zero-alloc
+    fn weigh(&mut self, half: &HalfMemo, plan: &ExecutablePlan) {
+        self.weights.clear();
+        for i in 0..self.b {
+            let site = self.active[i];
+            let mut weight = 1usize;
+            let mut prev = half.slots[site];
+            for &s in half.path(site) {
+                let s = s as usize;
+                let [lhs, rhs] = plan.step_children(s);
+                if self.below[s] >= 2 && lhs == prev {
+                    weight *= 3usize.pow(self.batched_below(plan, rhs));
+                }
+                prev = plan.n_inputs() + s;
+            }
+            self.weights.push(weight);
+        }
+    }
+
+    /// The values of the `pos`-th active site found `offset` elements
+    /// into its term blocks: all three if it is batched, else the one
+    /// of its term in `digits`.
+    // qns-lint: zero-alloc
+    fn site_values<'a>(
+        &self,
+        half: &'a HalfMemo,
+        digits: &[usize],
+        pos: usize,
+        offset: usize,
+    ) -> Batch<'a> {
+        let terms = half.terms(self.active[pos], offset);
+        if pos < self.b {
+            return terms;
+        }
+        Batch::single(&terms.data[digits[pos] * terms.stride..])
+    }
+
+    /// The values of `slot` as an operand. `lo` is the batch buffer
+    /// below the running step's region and `hi` the buffer from
+    /// `hi_start` on.
+    // qns-lint: zero-alloc
+    #[allow(clippy::too_many_arguments)]
+    fn operand<'a>(
+        &self,
+        half: &'a HalfMemo,
+        plan: &ExecutablePlan,
+        net: &'a TensorNetwork,
+        digits: &[usize],
+        lo: &'a [Complex64],
+        hi: &'a [Complex64],
+        hi_start: usize,
+        slot: usize,
+    ) -> Batch<'a> {
+        let Some(step) = slot.checked_sub(plan.n_inputs()) else {
+            return match self.leaf_pos[slot] {
+                NO_SITE => Batch::single(net.node_tensor(slot).as_slice()),
+                pos => self.site_values(half, digits, pos, 0),
+            };
+        };
+        match self.source[step] {
+            Source::Baseline => {
+                Batch::single(&half.baseline[half.offsets[step]..][..half.len(step)])
+            }
+            Source::Single { pos, offset } => self.site_values(half, digits, pos, offset),
+            Source::Computed => {
+                let start = self.region[step];
+                Batch {
+                    data: if start < lo.len() {
+                        &lo[start..]
+                    } else {
+                        &hi[start - hi_start..]
+                    },
+                    stride: half.len(step),
+                    count: self.values(step),
+                }
+            }
+        }
+    }
+
+    /// Runs every computed step with the unbatched sites at `digits`,
+    /// reading inactive leaves from `net` (all-dominant), and writes
+    /// the root's `3^b` amplitudes into `amps`.
+    // qns-lint: zero-alloc
+    fn run(
+        &self,
+        half: &HalfMemo,
+        plan: &ExecutablePlan,
+        net: &TensorNetwork,
+        digits: &[usize],
+        buf: &mut [Complex64],
+        amps: &mut [Complex64],
+    ) -> ContractionStats {
+        let root = plan.step_count() - 1;
+        let mut stats = ContractionStats::default();
+        for &s in &self.computed {
+            let s = s as usize;
+            let [l, r] = plan.step_children(s);
+            let st = if s == root {
+                let lhs = self.operand(half, plan, net, digits, buf, &[], buf.len(), l);
+                let rhs = self.operand(half, plan, net, digits, buf, &[], buf.len(), r);
+                plan.execute_step_batch(s, lhs, rhs, amps)
+            } else {
+                let start = self.region[s];
+                let end = start + half.len(s) * self.values(s);
+                let (lo, rest) = buf.split_at_mut(start);
+                let (dst, hi) = rest.split_at_mut(end - start);
+                let lhs = self.operand(half, plan, net, digits, lo, hi, end, l);
+                let rhs = self.operand(half, plan, net, digits, lo, hi, end, r);
+                plan.execute_step_batch(s, lhs, rhs, dst)
+            };
+            stats.absorb(&st);
+        }
+        stats
+    }
+}
+
+/// One worker's state for subset-batched levels: a step program per
+/// half, the term digits of the current run, the batch buffer both
+/// halves share, and each half's root amplitudes.
+pub(crate) struct SubsetEval {
+    progs: [SubsetProgram; 2],
+    /// Per active site: its term − 1 in the current run (read for the
+    /// unbatched sites only).
+    digits: Vec<usize>,
+    buf: Vec<Complex64>,
+    amps: [Vec<Complex64>; 2],
+    /// Buffer growth after [`SubsetEval::size_for_level`] sized them.
+    allocation_events: u64,
+}
+
+impl SubsetEval {
+    pub(crate) fn new(shared: &SplitShared, n_sites: usize) -> SubsetEval {
+        SubsetEval {
+            progs: [
+                SubsetProgram::new(&shared.up, n_sites),
+                SubsetProgram::new(&shared.lo, n_sites),
+            ],
+            digits: Vec::with_capacity(n_sites),
+            buf: Vec::new(),
+            amps: [Vec::new(), Vec::new()],
+            allocation_events: 0,
+        }
+    }
+
+    /// Buffer growth events after sizing: zero when
+    /// [`SubsetEval::size_for_level`] sized the buffers for the level.
+    pub(crate) fn allocation_events(&self) -> u64 {
+        self.allocation_events
+    }
+
+    /// The batch-buffer length of level `u`: the largest program peak
+    /// over its subsets and both halves. Leaves no subset laid out.
+    pub(crate) fn level_buffer_len(
+        &mut self,
+        shared: &SplitShared,
+        memo: &SplitMemo,
+        n: usize,
+        u: usize,
+    ) -> usize {
+        let mut peak = 0;
+        let mut sites: Vec<usize> = (0..u).collect();
+        let mut more = u <= n;
+        while more {
+            let [up, lo] = &mut self.progs;
+            for (prog, plan, half) in [(up, &shared.up, &memo.up), (lo, &shared.lo, &memo.lo)] {
+                prog.layout(half, plan, &sites);
+                peak = peak.max(prog.peak);
+            }
+            // Next subset in lexicographic order.
+            match (0..u).rev().find(|&i| sites[i] < n - u + i) {
+                Some(i) => {
+                    sites[i] += 1;
+                    for j in i + 1..u {
+                        sites[j] = sites[j - 1] + 1;
+                    }
+                }
+                None => more = false,
+            }
+        }
+        self.layout(shared, memo, &[]);
+        peak
+    }
+
+    /// Sizes the buffers, exactly, for level `u` with a batch buffer of
+    /// `len`.
+    pub(crate) fn size_for_level(&mut self, len: usize, u: usize) {
+        let values = 3usize.pow(u.min(MAX_BATCHED) as u32);
+        let [up, lo] = &mut self.amps;
+        for (buf, need) in [(&mut self.buf, len), (up, values), (lo, values)] {
+            if buf.len() < need {
+                buf.reserve_exact(need - buf.len());
+                buf.resize(need, Complex64::ZERO);
+            }
+        }
+    }
+
+    /// The active sites laid out.
+    fn sites(&self) -> &[usize] {
+        &self.progs[0].active
+    }
+
+    /// Lays out both halves for the active `sites` (ascending).
+    // qns-lint: zero-alloc
+    fn layout(&mut self, shared: &SplitShared, memo: &SplitMemo, sites: &[usize]) {
+        let [up, lo] = &mut self.progs;
+        for (prog, plan, half) in [(up, &shared.up, &memo.up), (lo, &shared.lo, &memo.lo)] {
+            prog.layout(half, plan, sites);
+            prog.weigh(half, plan);
+        }
+    }
+
+    /// Runs both halves with the `p`-th active site at term
+    /// `digit(p) + 1` for every unbatched `p`: all `3^b` amplitudes of
+    /// each half land in `amps`. Counts one plan replay per half per
+    /// pattern of the run.
+    // qns-lint: zero-alloc
+    fn run(
+        &mut self,
+        skels: &SplitSkeletons,
+        shared: &SplitShared,
+        memo: &SplitMemo,
+        digit: impl Fn(usize) -> usize,
+        stats: &mut ContractionStats,
+    ) {
+        let u = self.progs[0].active.len();
+        self.digits.clear();
+        self.digits.extend((0..u).map(digit));
+        let values = 3usize.pow(self.progs[0].b as u32);
+        let halves = [
+            (&shared.up, &memo.up, skels.upper.network()),
+            (&shared.lo, &memo.lo, skels.lower.network()),
+        ];
+        for (h, (plan, half, net)) in halves.into_iter().enumerate() {
+            let prog = &self.progs[h];
+            if self.buf.len() < prog.peak {
+                self.buf.resize(prog.peak, Complex64::ZERO);
+                self.allocation_events += 1;
+            }
+            if self.amps[h].len() < values {
+                self.amps[h].resize(values, Complex64::ZERO);
+                self.allocation_events += 1;
+            }
+            let amps = &mut self.amps[h][..values];
+            let mut st = prog.run(half, plan, net, &self.digits, &mut self.buf, amps);
+            st.plan_reuses = values;
+            stats.absorb(&st);
+        }
+    }
+
+    /// `amp_up · amp_lo` of the run's pattern whose `p`-th batched site
+    /// is at term `digit(p) + 1`.
+    // qns-lint: zero-alloc
+    fn product(&self, digit: impl Fn(usize) -> usize) -> Complex64 {
+        let mut t = [0usize; 2];
+        for (h, prog) in self.progs.iter().enumerate() {
+            for (p, &w) in prog.weights.iter().enumerate() {
+                t[h] += digit(p) * w;
+            }
+        }
+        self.amps[0][t[0]] * self.amps[1][t[1]]
     }
 }
 
@@ -700,30 +968,18 @@ pub(crate) fn check_budget(
 /// large enough that the mutex is cold next to the contractions.
 const PATTERN_CHUNK: usize = 32;
 
-/// One pattern through `delta`: memoized when a memo is given,
-/// ordinary delta replay otherwise.
-fn evaluate_pattern(
-    delta: &mut SplitDelta,
-    skels: &mut SplitSkeletons,
-    shared: &SplitShared,
-    memo: Option<&SplitMemo>,
-    assignment: &[usize],
-    stats: &mut ContractionStats,
-) -> Complex64 {
-    match memo {
-        Some(memo) => delta.evaluate_memo(skels, shared, memo, assignment, stats),
-        None => delta.evaluate(skels, shared, assignment, stats),
-    }
-}
+/// Slabs a worker pulls per lock acquisition at the batched levels: a
+/// unit holds `3^b` whole [`PATTERN_CHUNK`]s (the last unit of a level
+/// may be partial), so chunk boundaries and with them the chunk-ordered
+/// reduction are those of the per-pattern stream.
+const SLAB_UNIT: usize = PATTERN_CHUNK;
 
 /// Streams the level-`u` patterns sequentially through the shared
-/// plans in minimal-change order, delta-replaying each one (through
-/// `memo` when given). Returns `(Σ amp_up·amp_lo, patterns evaluated,
-/// stats)`.
+/// plans in minimal-change order, delta-replaying each one. Returns
+/// `(Σ amp_up·amp_lo, patterns evaluated, stats)`.
 pub(crate) fn evaluate_level_sequential(
     skels: &mut SplitSkeletons,
     shared: &SplitShared,
-    memo: Option<&SplitMemo>,
     n: usize,
     u: usize,
     delta: &mut SplitDelta,
@@ -734,7 +990,7 @@ pub(crate) fn evaluate_level_sequential(
     let mut count = 0usize;
     let mut stats = ContractionStats::default();
     while stream.next_into(&mut assignment) {
-        acc += evaluate_pattern(delta, skels, shared, memo, &assignment, &mut stats);
+        acc += delta.evaluate(skels, shared, &assignment, &mut stats);
         count += 1;
     }
     (acc, count, stats)
@@ -752,7 +1008,6 @@ pub(crate) fn evaluate_level_sequential(
 pub(crate) fn evaluate_level_parallel(
     skels: &SplitSkeletons,
     shared: &SplitShared,
-    memo: Option<&SplitMemo>,
     n: usize,
     u: usize,
     threads: usize,
@@ -766,70 +1021,219 @@ pub(crate) fn evaluate_level_parallel(
     // larger, which the delta evaluator absorbs (it diffs, it does not
     // assume adjacency).
     let stream = Mutex::new((GrayPatternStream::new(n, u), 0usize));
-    std::thread::scope(|scope| {
-        let stream = &stream;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let mut skels = skels.clone();
-                scope.spawn(move || {
-                    let mut chunk_sums: Vec<(usize, Complex64)> = Vec::new();
-                    let mut count = 0usize;
-                    let mut stats = ContractionStats::default();
-                    // One delta evaluator per worker, owned across its
-                    // whole chunk stream: its workspaces warm up on
-                    // the first pattern (one full replay), then every
-                    // later pattern is an allocation-free delta.
-                    let mut delta = SplitDelta::new(shared, n);
-                    // Flat chunk buffer: PATTERN_CHUNK assignments of n
-                    // sites each, refilled under one lock.
-                    let mut buf = vec![0usize; PATTERN_CHUNK * n];
-                    loop {
-                        let (seq, filled) = {
-                            let mut guard = stream.lock().expect("pattern stream lock");
-                            let (s, next_seq) = &mut *guard;
-                            let mut f = 0;
-                            while f < PATTERN_CHUNK && s.next_into(&mut buf[f * n..(f + 1) * n]) {
-                                f += 1;
-                            }
-                            let seq = *next_seq;
-                            if f > 0 {
-                                *next_seq += 1;
-                            }
-                            (seq, f)
-                        };
-                        if filled == 0 {
-                            break;
-                        }
-                        let mut chunk_acc = Complex64::ZERO;
-                        for k in 0..filled {
-                            chunk_acc += evaluate_pattern(
-                                &mut delta,
-                                &mut skels,
-                                shared,
-                                memo,
-                                &buf[k * n..(k + 1) * n],
-                                &mut stats,
-                            );
-                        }
-                        chunk_sums.push((seq, chunk_acc));
-                        count += filled;
-                    }
-                    (chunk_sums, count, stats)
-                })
-            })
-            .collect();
-        let mut all_chunks: Vec<(usize, Complex64)> = Vec::new();
+    // Skeleton clones are made here, so they live in the caller's heap.
+    let mut clones: Vec<SplitSkeletons> = (0..workers).map(|_| skels.clone()).collect();
+    fan_out(&mut clones, |skels, chunk_sums| {
         let mut count = 0usize;
         let mut stats = ContractionStats::default();
-        for h in handles {
-            let (chunks, c, s) = h.join().expect("worker thread panicked");
-            all_chunks.extend(chunks);
-            count += c;
-            stats.absorb(&s);
+        // One delta evaluator per worker, owned across its whole chunk
+        // stream: its workspaces warm up on the first pattern (one full
+        // replay), then every later pattern is an allocation-free delta.
+        let mut delta = SplitDelta::new(shared, n);
+        // Flat chunk buffer: PATTERN_CHUNK assignments of n sites each,
+        // refilled under one lock.
+        let mut buf = vec![0usize; PATTERN_CHUNK * n];
+        loop {
+            let (seq, filled) = {
+                let mut guard = stream.lock().unwrap_or_else(PoisonError::into_inner);
+                let (s, next_seq) = &mut *guard;
+                let mut f = 0;
+                while f < PATTERN_CHUNK && s.next_into(&mut buf[f * n..(f + 1) * n]) {
+                    f += 1;
+                }
+                let seq = *next_seq;
+                if f > 0 {
+                    *next_seq += 1;
+                }
+                (seq, f)
+            };
+            if filled == 0 {
+                break;
+            }
+            let mut chunk_acc = Complex64::ZERO;
+            for k in 0..filled {
+                chunk_acc += delta.evaluate(skels, shared, &buf[k * n..(k + 1) * n], &mut stats);
+            }
+            chunk_sums.push((seq, chunk_acc));
+            count += filled;
         }
-        all_chunks.sort_unstable_by_key(|&(seq, _)| seq);
-        let acc = all_chunks.into_iter().map(|(_, v)| v).sum();
-        (acc, count, stats)
+        (count, stats)
+    })
+}
+
+/// Runs `work` on one scoped thread per element of `states` (on the
+/// calling thread when there is just one). Each pushes `(sequence,
+/// chunk sum)` pairs and returns its pattern count and stats; the chunk
+/// sums are reduced in sequence order after the join, so the sum does
+/// not depend on which worker took which chunk.
+fn fan_out<S, F>(states: &mut [S], work: F) -> (Complex64, usize, ContractionStats)
+where
+    S: Send,
+    F: Fn(&mut S, &mut Vec<(usize, Complex64)>) -> (usize, ContractionStats) + Sync,
+{
+    let run = |state: &mut S| {
+        let mut chunk_sums = Vec::new();
+        let (count, stats) = work(state, &mut chunk_sums);
+        (chunk_sums, count, stats)
+    };
+    let results: Vec<_> = match states {
+        [state] => vec![run(state)],
+        _ => std::thread::scope(|scope| {
+            let handles: Vec<_> = states
+                .iter_mut()
+                .map(|state| scope.spawn(|| run(state)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        }),
+    };
+    let mut all_chunks: Vec<(usize, Complex64)> = Vec::new();
+    let mut count = 0usize;
+    let mut stats = ContractionStats::default();
+    for (chunks, c, s) in results {
+        all_chunks.extend(chunks);
+        count += c;
+        stats.absorb(&s);
+    }
+    all_chunks.sort_unstable_by_key(|&(seq, _)| seq);
+    let acc = all_chunks.into_iter().map(|(_, v)| v).sum();
+    (acc, count, stats)
+}
+
+/// The level-`u` sum (`u ≥ 2`) one subset at a time: per non-dominant
+/// subset S, both halves run their [`SubsetProgram`] once per slab of
+/// `3^min(|S|, MAX_BATCHED)` consecutive patterns (once per subset up
+/// to six active sites), yielding the slab's amplitudes, and
+/// `amp_up[t]·amp_lo[t]` is folded in the [`GrayPatternStream`]'s order
+/// into one accumulator — the same values, added in the same order, as
+/// a per-pattern replay. A slab is contiguous in that order because
+/// the reflected Gray code sweeps the low positions fully before a
+/// higher one moves. `skels` must hold the dominant payloads
+/// ([`SplitMemo::build`] leaves them so) and is only read. `eval`'s
+/// buffers are sized for the level before its first subset.
+pub(crate) fn evaluate_subsets_sequential(
+    skels: &SplitSkeletons,
+    shared: &SplitShared,
+    memo: &SplitMemo,
+    n: usize,
+    u: usize,
+    eval: &mut SubsetEval,
+) -> (Complex64, usize, ContractionStats) {
+    let buf_len = eval.level_buffer_len(shared, memo, n, u);
+    eval.size_for_level(buf_len, u);
+    let per_subset = 3usize.pow(u as u32);
+    let per_slab = 3usize.pow(u.min(MAX_BATCHED) as u32);
+    let mut stream = GrayPatternStream::new(n, u);
+    let mut sites = Vec::with_capacity(u);
+    let mut acc = Complex64::ZERO;
+    let mut count = 0usize;
+    let mut stats = ContractionStats::default();
+    while let Some(pattern) = stream.next_pattern() {
+        if count.is_multiple_of(per_subset) {
+            sites.clear();
+            sites.extend((0..n).filter(|&i| pattern[i] != 0));
+            eval.layout(shared, memo, &sites);
+        }
+        let digit = |p: usize| pattern[sites[p]] - 1;
+        if count.is_multiple_of(per_slab) {
+            eval.run(skels, shared, memo, digit, &mut stats);
+        }
+        acc += eval.product(digit);
+        count += 1;
+    }
+    (acc, count, stats)
+}
+
+/// [`evaluate_subsets_sequential`] across scoped worker threads that
+/// share `skels`, the plans and the memo read-only. Workers pull units
+/// of [`SLAB_UNIT`] slabs from the shared stream, recording each slab's
+/// active sites and each pattern's term digits, and fold each
+/// 32-pattern chunk of a unit into its own sum; the chunk sums are
+/// reduced in stream order, exactly as [`evaluate_level_parallel`]
+/// reduces them. Worker `w` runs on `evals[w]` (created as needed);
+/// every worker's buffers are sized for the level on the calling
+/// thread, so they live in its heap and carry over to later levels.
+pub(crate) fn evaluate_subsets_parallel(
+    skels: &SplitSkeletons,
+    shared: &SplitShared,
+    memo: &SplitMemo,
+    n: usize,
+    u: usize,
+    threads: usize,
+    evals: &mut Vec<SubsetEval>,
+) -> (Complex64, usize, ContractionStats) {
+    let per_slab = 3usize.pow(u.min(MAX_BATCHED) as u32);
+    let slabs = (crate::bounds::level_patterns(n, u) / per_slab as u128) as usize;
+    let workers = threads.min(slabs.div_ceil(SLAB_UNIT)).max(1);
+    while evals.len() < workers {
+        evals.push(SubsetEval::new(shared, n));
+    }
+    let buf_len = evals[0].level_buffer_len(shared, memo, n, u);
+    for eval in evals.iter_mut() {
+        eval.size_for_level(buf_len, u);
+    }
+    // The stream plus the next unit's sequence number.
+    let stream = Mutex::new((GrayPatternStream::new(n, u), 0usize));
+    fan_out(&mut evals[..workers], |eval, chunk_sums| {
+        let mut count = 0usize;
+        let mut stats = ContractionStats::default();
+        // Per slab of the unit its active sites, per pattern its digits
+        // as the base-3 number Σ_p (term − 1)·3^p.
+        let mut unit_sites = vec![0usize; SLAB_UNIT * u];
+        let mut unit_digits = vec![0usize; SLAB_UNIT * per_slab];
+        loop {
+            let (seq, filled) = {
+                let mut guard = stream.lock().unwrap_or_else(PoisonError::into_inner);
+                let (s, next_seq) = &mut *guard;
+                let mut f = 0;
+                while f < unit_digits.len() {
+                    let Some(pattern) = s.next_pattern() else {
+                        break;
+                    };
+                    let sites = &mut unit_sites[f / per_slab * u..][..u];
+                    if f.is_multiple_of(per_slab) {
+                        for (slot, site) in
+                            sites.iter_mut().zip((0..n).filter(|&i| pattern[i] != 0))
+                        {
+                            *slot = site;
+                        }
+                    }
+                    unit_digits[f] = sites.iter().rev().fold(0, |t, &i| 3 * t + pattern[i] - 1);
+                    f += 1;
+                }
+                let seq = *next_seq;
+                if f > 0 {
+                    *next_seq += 1;
+                }
+                (seq, f)
+            };
+            if filled == 0 {
+                break;
+            }
+            // A full unit is `per_slab` chunks.
+            let mut chunk_seq = seq * per_slab;
+            let mut chunk_acc = Complex64::ZERO;
+            for (k, &digits) in unit_digits[..filled].iter().enumerate() {
+                let digit = |p: usize| digits / 3usize.pow(p as u32) % 3;
+                if k.is_multiple_of(per_slab) {
+                    let sites = &unit_sites[k / per_slab * u..][..u];
+                    if eval.sites() != sites {
+                        eval.layout(shared, memo, sites);
+                    }
+                    eval.run(skels, shared, memo, digit, &mut stats);
+                }
+                chunk_acc += eval.product(digit);
+                if k % PATTERN_CHUNK == PATTERN_CHUNK - 1 || k + 1 == filled {
+                    chunk_sums.push((chunk_seq, chunk_acc));
+                    chunk_seq += 1;
+                    chunk_acc = Complex64::ZERO;
+                }
+            }
+            count += filled;
+        }
+        (count, stats)
     })
 }
 
@@ -1525,7 +1929,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_levels_match_delta_replay_with_fewer_steps() {
+    fn batched_levels_match_delta_replay_with_fewer_steps() {
         let noisy = NoisyCircuit::inject_random(
             inst_grid(2, 3, 8, 5),
             &channels::thermal_relaxation(30.0, 40.0, 80.0),
@@ -1546,23 +1950,51 @@ mod tests {
             "the memo pass replays no pattern"
         );
         assert!(build_stats.contractions > 0);
+        let mut eval = SubsetEval::new(&shared, n);
         for u in 2..=3 {
+            let (batched, batched_count, batched_stats) =
+                evaluate_subsets_sequential(&skels, &shared, &memo, n, u, &mut eval);
+            assert_eq!(eval.allocation_events(), 0, "level {u}: batch buffers grew");
+            // The delta path last, since it moves the skeleton payloads.
+            let mut plain_skels = skels.clone();
             let (plain, plain_count, plain_stats) =
-                evaluate_level_sequential(&mut skels, &shared, None, n, u, &mut delta);
-            let warm = delta.allocation_events();
-            let (memo_sum, memo_count, memo_stats) =
-                evaluate_level_sequential(&mut skels, &shared, Some(&memo), n, u, &mut delta);
-            assert_eq!(delta.allocation_events(), warm, "memo replay allocated");
-            assert_eq!(memo_sum, plain, "level {u}");
-            assert_eq!(memo_count, plain_count);
-            assert_eq!(memo_stats.plan_reuses, plain_stats.plan_reuses);
+                evaluate_level_sequential(&mut plain_skels, &shared, n, u, &mut delta);
+            assert_eq!(batched, plain, "level {u}");
+            assert_eq!(batched_count, plain_count);
+            assert_eq!(batched_stats.plan_reuses, plain_stats.plan_reuses);
             assert!(
-                memo_stats.contractions < plain_stats.contractions,
-                "level {u}: memo {} vs delta {} steps",
-                memo_stats.contractions,
+                batched_stats.contractions * 10 < plain_stats.contractions,
+                "level {u}: batched {} vs delta {} step runs",
+                batched_stats.contractions,
                 plain_stats.contractions
             );
         }
+    }
+
+    #[test]
+    fn batched_parallel_levels_match_sequential_bits_of_the_chunked_shape() {
+        // C(7,3) = 35 subsets: one full unit and a partial one.
+        let noisy = NoisyCircuit::inject_random(
+            ghz(4),
+            &channels::thermal_relaxation(30.0, 40.0, 100.0),
+            7,
+            31,
+        );
+        let psi = ProductState::all_zeros(4);
+        let v = ProductState::basis(4, 0b1111);
+        let opts = |threads| opts(3).with_threads(threads);
+        let two = approximate_expectation(&noisy, &psi, &v, &opts(2));
+        for threads in [3, 4] {
+            let more = approximate_expectation(&noisy, &psi, &v, &opts(threads));
+            assert_eq!(
+                more.value.to_bits(),
+                two.value.to_bits(),
+                "threads={threads}"
+            );
+            assert_eq!(more.stats.plan_reuses, 2 * more.terms_evaluated);
+        }
+        let one = approximate_expectation(&noisy, &psi, &v, &opts(1));
+        assert!((one.value - two.value).abs() < 1e-12);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use bounds::{
     contraction_count, error_bound, level_patterns, level_recommendation, planned_patterns,
 };
 pub use noise_svd::NoiseSvd;
-pub use patterns::{GrayPatternStream, PatternStream};
+pub use patterns::GrayPatternStream;
 pub use permutation::tensor_permute;
 pub use qns_noise::QnsError;
 pub use refine::{LevelEvaluator, PartialEstimate};

@@ -5,34 +5,30 @@
 //! are exactly those with `u` sub-dominant sites — there are
 //! `C(n,u)·3^u` of them ([`crate::bounds::level_patterns`]).
 //!
-//! Two orders are provided, both `O(u)` state (nothing is
-//! materialized):
+//! [`GrayPatternStream`] enumerates them in a **minimal-change** order
+//! with `O(u)` state (nothing is materialized): consecutive patterns
+//! differ in at most two sites (one site for the `3^u − 1` digit steps
+//! inside a subset, two for a subset change). Site subsets advance by
+//! Knuth's revolving-door enumeration (TAOCP 7.2.1.3, Algorithm R: one
+//! element swapped per transition) and term digits by a reflected
+//! base-3 Gray code with per-position direction flags, which naturally
+//! retraces backward after each subset change so the digit state
+//! carries over. The stream reports *which* sites changed
+//! ([`GrayPatternStream::changed_sites`]), which is what makes payload
+//! swaps and delta contraction
+//! ([`qns_tnet::exec::ExecutablePlan::execute_network_delta_into`])
+//! `O(changes)` instead of `O(n)` per pattern, and it visits each
+//! subset's `3^u` patterns consecutively, which is what lets the
+//! batched levels evaluate one subset at a time.
 //!
-//! * [`PatternStream`] — the canonical order (site subsets
-//!   lexicographic, term digits counting in base 3, lowest site
-//!   fastest). Simple, and the historical order of record.
-//! * [`GrayPatternStream`] — a **minimal-change** order visiting the
-//!   same pattern set: consecutive patterns differ in at most two
-//!   sites (one site for the `3^u − 1` digit steps inside a subset,
-//!   two for a subset change). Site subsets advance by Knuth's
-//!   revolving-door enumeration (TAOCP 7.2.1.3, Algorithm R: one
-//!   element swapped per transition) and term digits by a reflected
-//!   base-3 Gray code with per-position direction flags, which
-//!   naturally retraces backward after each subset change so the digit
-//!   state carries over. The stream reports *which* sites changed
-//!   ([`GrayPatternStream::changed_sites`]), which is what makes
-//!   payload swaps and delta contraction
-//!   ([`qns_tnet::exec::ExecutablePlan::execute_network_delta_into`])
-//!   `O(changes)` instead of `O(n)` per pattern.
+//! The tests check it against a canonical enumerator (site subsets
+//! lexicographic, term digits counting in base 3).
 
-/// Streaming enumerator of the level-`u` substitution patterns over
-/// `n` sites, in the canonical order (site subsets lexicographic,
-/// sub-dominant term digits counting fastest at the lowest site).
-///
-/// Holds `O(u)` state — the replacement for the old materialized
-/// `Vec<Vec<u8>>`, which at the default `max_terms` budget could
-/// occupy gigabytes. Workers pull from one shared stream in chunks.
-pub struct PatternStream {
+/// Test oracle: the level-`u` substitution patterns over `n` sites in
+/// the canonical order (site subsets lexicographic, sub-dominant term
+/// digits counting fastest at the lowest site).
+#[cfg(test)]
+pub(crate) struct PatternStream {
     n: usize,
     u: usize,
     subset: Vec<usize>,
@@ -40,10 +36,11 @@ pub struct PatternStream {
     exhausted: bool,
 }
 
+#[cfg(test)]
 impl PatternStream {
     /// A stream over all `C(n,u)·3^u` patterns with exactly `u`
     /// sub-dominant sites (immediately exhausted when `u > n`).
-    pub fn new(n: usize, u: usize) -> Self {
+    pub(crate) fn new(n: usize, u: usize) -> Self {
         PatternStream {
             n,
             u,
@@ -55,7 +52,7 @@ impl PatternStream {
 
     /// Writes the next pattern (term index per site) into `out`.
     /// Returns `false` once the stream is exhausted.
-    pub fn next_into(&mut self, out: &mut [usize]) -> bool {
+    pub(crate) fn next_into(&mut self, out: &mut [usize]) -> bool {
         debug_assert_eq!(out.len(), self.n, "one term slot per site");
         if self.exhausted {
             return false;
@@ -108,7 +105,6 @@ impl PatternStream {
 pub const TERM_UNSET: usize = usize::MAX;
 
 /// Minimal-change enumerator of the level-`u` substitution patterns:
-/// visits exactly the same pattern set as [`PatternStream`], but
 /// consecutive patterns differ in at most **two** sites, and the
 /// stream reports which ([`GrayPatternStream::changed_sites`]).
 ///
@@ -171,6 +167,13 @@ impl GrayPatternStream {
         }
         out.copy_from_slice(&self.current);
         true
+    }
+
+    /// The next pattern, borrowed from the stream; `None` once the
+    /// stream is exhausted. As [`GrayPatternStream::next_into`] without
+    /// the copy.
+    pub(crate) fn next_pattern(&mut self) -> Option<&[usize]> {
+        self.step().then_some(&self.current[..])
     }
 
     /// The sites changed by the last pattern [`GrayPatternStream::next_into`]

@@ -19,8 +19,9 @@
 //! contributions, and therefore every partial sum, are **bitwise
 //! identical** — not merely close. Each level's contribution `T_u` is
 //! a well-defined `f64` independent of evaluator history (the Gray
-//! enumeration order is fixed, delta replay is bit-identical to full
-//! replay, and the parallel reduction is chunk-sequence-ordered), which
+//! enumeration order is fixed, delta replay and the subset-batched
+//! levels are bit-identical to full replay, and the parallel reduction
+//! is chunk-sequence-ordered), which
 //! is what makes per-level caching sound: a cached `T_u` can be
 //! [installed](LevelEvaluator::install_level) into a fresh evaluator
 //! without changing any later bit.
@@ -51,8 +52,8 @@
 
 use crate::approx::{
     build_split, check_budget, check_state, collect_sites, evaluate_level_parallel,
-    evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitMemo, SplitShared,
-    SplitSkeletons,
+    evaluate_level_sequential, evaluate_subsets_parallel, evaluate_subsets_sequential,
+    ApproxOptions, ApproxResult, SplitDelta, SplitMemo, SplitShared, SplitSkeletons, SubsetEval,
 };
 use qns_linalg::Complex64;
 use qns_noise::{NoisyCircuit, QnsError};
@@ -93,7 +94,9 @@ pub struct PartialEstimate {
 /// [`PartialEstimate`]. Levels already paid for elsewhere can be
 /// [installed](Self::install_level) from a cache instead of recomputed.
 /// The first level ≥ 2 also builds a per-run memo of single-site
-/// subtrees that every later level reads (see [`crate::approx`]).
+/// subtrees; from then on each level runs one batched step program per
+/// noise subset instead of one replay per pattern (see
+/// [`crate::approx`]).
 pub struct LevelEvaluator {
     /// Number of noise sites `N` (the maximum — exact — level).
     n: usize,
@@ -111,6 +114,9 @@ pub struct LevelEvaluator {
     /// (computed or resumed from installed levels alike) and freed
     /// with the evaluator.
     memo: Option<SplitMemo>,
+    /// Per-worker state of the batched levels ≥ 2 (one entry when
+    /// sequential), kept across levels.
+    subsets: Vec<SubsetEval>,
     /// Contributions `T_0 … T_k` of the completed levels.
     per_level: Vec<f64>,
     /// Pattern count of each completed level.
@@ -166,6 +172,7 @@ impl LevelEvaluator {
             shared,
             seq_delta: None,
             memo: None,
+            subsets: Vec::new(),
             per_level: Vec::new(),
             level_counts: Vec::new(),
             stats,
@@ -234,27 +241,47 @@ impl LevelEvaluator {
     /// As [`advance`](Self::advance).
     pub(crate) fn step(&mut self) -> Result<Complex64, QnsError> {
         let u = self.begin_level()?;
-        if u >= 2 && self.memo.is_none() {
+        let parallel = self.threads > 1 && crate::bounds::level_patterns(self.n, u) > 1;
+        let (tu, count, level_stats) = if u >= 2 {
+            let memo = match &mut self.memo {
+                Some(memo) => memo,
+                memo @ None => {
+                    let delta = self
+                        .seq_delta
+                        .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
+                    memo.insert(SplitMemo::build(
+                        &mut self.skels,
+                        &self.shared,
+                        delta,
+                        &mut self.stats,
+                    ))
+                }
+            };
+            if parallel {
+                evaluate_subsets_parallel(
+                    &self.skels,
+                    &self.shared,
+                    memo,
+                    self.n,
+                    u,
+                    self.threads,
+                    &mut self.subsets,
+                )
+            } else {
+                if self.subsets.is_empty() {
+                    self.subsets.push(SubsetEval::new(&self.shared, self.n));
+                }
+                let eval = &mut self.subsets[0];
+                evaluate_subsets_sequential(&self.skels, &self.shared, memo, self.n, u, eval)
+            }
+        } else if parallel {
+            evaluate_level_parallel(&self.skels, &self.shared, self.n, u, self.threads)
+        } else {
             let delta = self
                 .seq_delta
                 .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
-            self.memo = Some(SplitMemo::build(
-                &mut self.skels,
-                &self.shared,
-                delta,
-                &mut self.stats,
-            ));
-        }
-        let memo = self.memo.as_ref().filter(|_| u >= 2);
-        let (tu, count, level_stats) =
-            if self.threads > 1 && crate::bounds::level_patterns(self.n, u) > 1 {
-                evaluate_level_parallel(&self.skels, &self.shared, memo, self.n, u, self.threads)
-            } else {
-                let delta = self
-                    .seq_delta
-                    .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
-                evaluate_level_sequential(&mut self.skels, &self.shared, memo, self.n, u, delta)
-            };
+            evaluate_level_sequential(&mut self.skels, &self.shared, self.n, u, delta)
+        };
         self.stats.absorb(&level_stats);
         self.per_level.push(tu.re);
         self.level_counts.push(count);
@@ -262,13 +289,20 @@ impl LevelEvaluator {
     }
 
     /// Workspace growth events of the sequential path so far (see
-    /// [`qns_tnet::exec::Workspace::allocation_events`]): stops moving
-    /// once the workspaces are warm, which benchmarks assert for the
-    /// memoized levels.
+    /// [`qns_tnet::exec::Workspace::allocation_events`]), plus any
+    /// batch-buffer growth after a batched level sized its buffers
+    /// (once, before its first subset). Stops moving once the
+    /// workspaces are warm, which benchmarks assert for the batched
+    /// levels.
     pub fn workspace_allocations(&self) -> u64 {
         self.seq_delta
             .as_ref()
             .map_or(0, SplitDelta::allocation_events)
+            + self
+                .subsets
+                .iter()
+                .map(SubsetEval::allocation_events)
+                .sum::<u64>()
     }
 
     /// Installs a previously computed contribution for the next level

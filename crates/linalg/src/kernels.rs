@@ -16,6 +16,8 @@
 //!   permutation always splits the axes into two groups (free and
 //!   contracted), so the permuted flat index factorizes as
 //!   `row_off[i] + col_off[j]`.
+//!   [`matmul_gather_batch_into`] runs it over every pair of an lhs and
+//!   an rhs value in one call, for operands that carry a batch leg.
 //!
 //! # Accumulation order
 //!
@@ -128,6 +130,65 @@ pub fn matmul_gather_into(a: Gathered<'_>, b: Gathered<'_>, out: &mut [Complex64
     }
 }
 
+/// `count` operand values laid out `stride` elements apart: value `v`
+/// is read through the operand's offset tables from `data[v · stride]`
+/// on (see [`matmul_gather_batch_into`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Strided {
+    /// Number of values.
+    pub count: usize,
+    /// Elements from one value's start to the next.
+    pub stride: usize,
+}
+
+/// [`matmul_gather_into`] for every pair of an lhs value and an rhs
+/// value: output value `i · b_values.count + j`, row-major `m×n` and
+/// packed in `out`, is lhs value `i` times rhs value `j`. A batch leg is
+/// never contracted, so it only adds rows and columns: every output
+/// entry is accumulated over the same `k`, in the same order, with the
+/// same zero-skip as one [`matmul_gather_into`] call on its pair.
+///
+/// # Panics
+///
+/// Panics if a table length disagrees with the dimensions, `out` does
+/// not hold one output per pair, or an offset indexes out of its
+/// operand.
+// qns-lint: zero-alloc
+pub fn matmul_gather_batch_into(
+    a: Gathered<'_>,
+    a_values: Strided,
+    b: Gathered<'_>,
+    b_values: Strided,
+    out: &mut [Complex64],
+    n: usize,
+) {
+    let (m, k) = (a.rows.len(), b.rows.len());
+    assert!(
+        a.cols.is_none_or(|c| c.len() == k),
+        "lhs column table length mismatch"
+    );
+    assert!(
+        b.cols.is_none_or(|c| c.len() == n),
+        "rhs column table length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        a_values.count * b_values.count * m * n,
+        "output buffer length mismatch"
+    );
+    // Narrow rows (most steps of small circuits) get the loop nest with
+    // their width fixed at compile time.
+    let loops = match n {
+        1 => value_loops::<1>,
+        2 => value_loops::<2>,
+        4 => value_loops::<4>,
+        8 => value_loops::<8>,
+        16 => value_loops::<16>,
+        _ => value_loops::<0>,
+    };
+    loops(a, a_values, b, b_values, out, n);
+}
+
 /// `out_row += aik · b[bo + j0 ..]`: the rhs row streams contiguously.
 // qns-lint: zero-alloc
 #[inline(always)]
@@ -187,6 +248,58 @@ fn gather_loops(
                 Some(cols) => {
                     for (&co, &bo) in cols.iter().zip(b_rows) {
                         axpy(a.data[ro + co], bo);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The loop nest of [`matmul_gather_batch_into`] for rows of `n`
+/// columns (`N` when nonzero, fixed at compile time): per row `i` and
+/// `kk` ascending, every lhs value's `a[i][kk]` that is not zero is
+/// added times row `kk` of every rhs value. Each output entry thus
+/// sees the additions of one [`matmul_gather_into`] call in the same
+/// order, while the value loops innermost give independent
+/// accumulators even when `n` is 1.
+// qns-lint: zero-alloc
+fn value_loops<const N: usize>(
+    a: Gathered<'_>,
+    a_values: Strided,
+    b: Gathered<'_>,
+    b_values: Strided,
+    out: &mut [Complex64],
+    n: usize,
+) {
+    let n = if N == 0 { n } else { N };
+    let m = a.rows.len();
+    let per_a = b_values.count * m * n;
+    out.fill(Complex64::ZERO);
+    if per_a == 0 {
+        return;
+    }
+    for (i, &ro) in a.rows.iter().enumerate() {
+        for (kk, &bo) in b.rows.iter().enumerate() {
+            let co = a.cols.map_or(kk, |cols| cols[kk]);
+            for (ai, outs) in out.chunks_exact_mut(per_a).enumerate() {
+                let aik = a.data[ai * a_values.stride + ro + co];
+                if aik == Complex64::ZERO {
+                    continue;
+                }
+                for (bj, row) in outs.chunks_exact_mut(m * n).enumerate() {
+                    let row = &mut row[i * n..][..n];
+                    let base = bj * b_values.stride + bo;
+                    match b.cols {
+                        None => {
+                            for (o, &bv) in row.iter_mut().zip(&b.data[base..base + n]) {
+                                *o += aik * bv;
+                            }
+                        }
+                        Some(cols) => {
+                            for (o, &c) in row.iter_mut().zip(&cols[..n]) {
+                                *o += aik * b.data[base + c];
+                            }
+                        }
                     }
                 }
             }
@@ -290,6 +403,59 @@ mod tests {
                 let mut fused = vec![c64(9.0, 9.0); m * n]; // dirty output
                 matmul_gather_into(lhs, rhs, &mut fused, n);
                 assert_eq!(fused, materialized, "{:?} · {:?}", lhs.cols, rhs.cols);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gather_matches_one_call_per_pair() {
+        // Two lhs values 3×4 padded to a stride of 13, three rhs values
+        // 4×n read through a column table (stored transposed); n = 3
+        // takes the loop nest without a compile-time width.
+        let mut rng = StdRng::seed_from_u64(6);
+        let (m, k) = (3usize, 4usize);
+        let mut a = rand_buf(&mut rng, 2 * 13);
+        a[5] = Complex64::ZERO; // exercise the zero-skip
+        let a_rows: Vec<usize> = (0..m).map(|i| i * k).collect();
+        let lhs = |data| Gathered {
+            data,
+            rows: &a_rows,
+            cols: None,
+        };
+        for n in [1usize, 2, 3] {
+            let b = rand_buf(&mut rng, 3 * k * n);
+            let (b_rows, b_cols): (Vec<usize>, Vec<usize>) =
+                ((0..k).collect(), (0..n).map(|j| j * k).collect());
+            let rhs = |data| Gathered {
+                data,
+                rows: &b_rows,
+                cols: Some(&b_cols),
+            };
+            let mut batched = vec![c64(9.0, 9.0); 6 * m * n];
+            matmul_gather_batch_into(
+                lhs(&a),
+                Strided {
+                    count: 2,
+                    stride: 13,
+                },
+                rhs(&b),
+                Strided {
+                    count: 3,
+                    stride: k * n,
+                },
+                &mut batched,
+                n,
+            );
+            for i in 0..2 {
+                for j in 0..3 {
+                    let mut single = vec![Complex64::ZERO; m * n];
+                    matmul_gather_into(lhs(&a[i * 13..]), rhs(&b[j * k * n..]), &mut single, n);
+                    assert_eq!(
+                        &batched[(i * 3 + j) * m * n..][..m * n],
+                        &single[..],
+                        "n = {n}, pair ({i}, {j})"
+                    );
+                }
             }
         }
     }

@@ -90,14 +90,38 @@ impl Kraus {
             .all(|e| e.as_slice().iter().all(|z| z.is_finite()))
     }
 
+    /// Whether `self` and `other` share one operator set — clones of a
+    /// channel do, so a check per distinct set can skip the rest.
+    pub fn shares_operators(&self, other: &Kraus) -> bool {
+        Arc::ptr_eq(&self.ops, &other.ops)
+    }
+
     /// Checks complete positivity and trace preservation:
-    /// `‖Σ E_k†E_k − I‖_max ≤ tol`.
+    /// `‖Σ E_k†E_k − I‖_max ≤ tol`. Allocation-free, since job
+    /// validation runs it per request.
     pub fn is_cptp(&self, tol: f64) -> bool {
-        let mut sum = Matrix::zeros(self.dim, self.dim);
-        for e in self.ops.iter() {
-            sum = &sum + &e.adjoint().matmul(e);
+        let d = self.dim;
+        let mut worst = 0.0f64;
+        for i in 0..d {
+            for j in 0..d {
+                // Entry (i, j) of Σ_k E_k†E_k.
+                let mut sum = Complex64::ZERO;
+                for e in self.ops.iter() {
+                    let mut product = Complex64::ZERO;
+                    for k in 0..d {
+                        product += e[(k, i)].conj() * e[(k, j)];
+                    }
+                    sum += product;
+                }
+                let identity = if i == j {
+                    Complex64::ONE
+                } else {
+                    Complex64::ZERO
+                };
+                worst = worst.max((sum - identity).abs());
+            }
         }
-        (&sum - &Matrix::identity(self.dim)).max_abs() <= tol
+        worst <= tol
     }
 
     /// Applies the channel to a density matrix: `Σ E_k ρ E_k†`.

@@ -46,12 +46,16 @@
 //! what makes per-worker chunked pattern streams correct without any
 //! coordination.
 //!
-//! [`ExecutablePlan::execute_network_steps_scalar`] goes one step
-//! further for callers that keep intermediates of their own: it runs
-//! exactly a caller-chosen ascending step list, reading any child the
-//! caller supplies from the caller's buffer instead of the arena. The
-//! pattern sum uses it to read single-site subtrees from a per-run
-//! memo (see `qns_core::approx`).
+//! # Batched steps
+//!
+//! [`ExecutablePlan::execute_step_batch`] runs one step over batches of
+//! operand values for callers that keep intermediates of their own. A
+//! free batch leg on an operand is never contracted, so it only adds
+//! rows and columns: the batched kernel
+//! ([`qns_linalg::kernels::matmul_gather_batch_into`]) computes every
+//! output entry exactly as an ordinary replay of its pair of operand
+//! values would. The pattern sum uses it to evaluate all term
+//! combinations of one noise subset at once (see `qns_core::approx`).
 //!
 //! Results are bit-identical to the allocating reference path
 //! ([`crate::plan::ContractionPlan::execute_reference`]): the fused
@@ -61,7 +65,7 @@
 
 use crate::network::{ContractionStats, TensorNetwork};
 use crate::plan::ContractionPlan;
-use qns_linalg::kernels::{matmul_gather_into, Gathered};
+use qns_linalg::kernels::{matmul_gather_batch_into, matmul_gather_into, Gathered, Strided};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,6 +104,30 @@ impl Tables {
             data,
             rows: &self.rows,
             cols: self.cols.as_deref(),
+        }
+    }
+}
+
+/// One operand of [`ExecutablePlan::execute_step_batch`]: `count`
+/// values of a step's child, value `i` being the child's element count
+/// of entries from `data[i * stride]` on.
+#[derive(Clone, Copy, Debug)]
+pub struct Batch<'a> {
+    /// The buffer holding every value.
+    pub data: &'a [Complex64],
+    /// Elements from one value's start to the next.
+    pub stride: usize,
+    /// Number of values.
+    pub count: usize,
+}
+
+impl<'a> Batch<'a> {
+    /// A batch of one value.
+    pub fn single(data: &'a [Complex64]) -> Self {
+        Batch {
+            data,
+            stride: 0,
+            count: 1,
         }
     }
 }
@@ -201,8 +229,7 @@ impl Workspace {
     /// intermediates — i.e. whether a delta execution against `plan`
     /// would take the incremental path rather than fall back to a full
     /// replay. Set by any full execution of `plan`; cleared by
-    /// executing a different plan through the same workspace, or by a
-    /// partial [`ExecutablePlan::execute_network_steps_scalar`] run.
+    /// executing a different plan through the same workspace.
     pub fn is_warm_for(&self, plan: &ExecutablePlan) -> bool {
         self.warm_for == Some(plan.id)
     }
@@ -265,12 +292,6 @@ fn tables(shape: &[usize], row_axes: &[usize], col_axes: &[usize]) -> Tables {
         rows: offset_table(shape, &strides, row_axes),
         cols: (!trailing).then(|| offset_table(shape, &strides, col_axes)),
     }
-}
-
-/// Operand lookup for the full and delta paths: every step output
-/// comes from the arena.
-fn from_arena<'s>(_step: usize) -> Option<&'s [Complex64]> {
-    None
 }
 
 impl ExecutablePlan {
@@ -413,6 +434,75 @@ impl ExecutablePlan {
     pub fn step_output<'w>(&self, step: usize, ws: &'w Workspace) -> &'w [Complex64] {
         let s = &self.steps[step];
         &ws.arena[s.dst_offset..s.dst_offset + s.dst_len()]
+    }
+
+    /// The two slots step `step` contracts, `[lhs, rhs]`. Slots below
+    /// [`n_inputs`](ExecutablePlan::n_inputs) are input tensors; slot
+    /// `n_inputs() + s` is the output of step `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step >= step_count()`.
+    pub fn step_children(&self, step: usize) -> [usize; 2] {
+        let s = &self.steps[step];
+        [s.lhs, s.rhs].map(|loc| match loc {
+            SlotLoc::Input(i) => i,
+            SlotLoc::Step { step, .. } => self.n_inputs + step,
+        })
+    }
+
+    /// Runs step `step` once for every pair of operand values: output
+    /// value `i · rhs.count + j` (each [`step_output_len`] elements,
+    /// packed in `dst`) contracts lhs value `i` with rhs value `j`.
+    /// Returns the stats of the batch: one contraction, whose
+    /// multiply-adds count every pair, and no plan replay.
+    ///
+    /// Nothing is compiled per call: every pair reuses the step's
+    /// offset tables and fused kernel, so each output value has the
+    /// bits an ordinary replay with that pair of operands computes.
+    ///
+    /// [`step_output_len`]: ExecutablePlan::step_output_len
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step >= step_count()`, if an operand value overruns
+    /// its buffer, or if `dst` does not hold exactly one output per
+    /// pair.
+    // qns-lint: zero-alloc
+    pub fn execute_step_batch(
+        &self,
+        step: usize,
+        lhs: Batch<'_>,
+        rhs: Batch<'_>,
+        dst: &mut [Complex64],
+    ) -> ContractionStats {
+        let s = &self.steps[step];
+        for (batch, len) in [(lhs, self.slot_len(s.lhs)), (rhs, self.slot_len(s.rhs))] {
+            assert!(
+                batch.count == 0 || (batch.count - 1) * batch.stride + len <= batch.data.len(),
+                "batched step {step}: operand values overrun their buffer"
+            );
+        }
+        matmul_gather_batch_into(
+            s.lhs_tables.over(lhs.data),
+            Strided {
+                count: lhs.count,
+                stride: lhs.stride,
+            },
+            s.rhs_tables.over(rhs.data),
+            Strided {
+                count: rhs.count,
+                stride: rhs.stride,
+            },
+            dst,
+            s.n,
+        );
+        ContractionStats {
+            contractions: 1,
+            max_intermediate: self.replay_stats.max_intermediate,
+            flops_proxy: s.flops * (lhs.count * rhs.count) as u128,
+            ..Default::default()
+        }
     }
 
     /// Shape of the executed result (axes in ascending open-leg
@@ -574,52 +664,6 @@ impl ExecutablePlan {
         (out[0], stats)
     }
 
-    /// Runs exactly `steps` — ascending step indices — against the
-    /// tensors currently held by `net`, returning the rank-0 result.
-    ///
-    /// A child operand of a listed step is, in order of precedence:
-    /// the caller's buffer when `operand(child_step)` returns `Some`
-    /// (it must hold the child's output, [`step_output_len`] elements);
-    /// an input tensor of `net` when the child is a leaf; otherwise the
-    /// arena region the child's last execution through `ws` wrote. The
-    /// root is read the same way. Only the listed steps write the
-    /// arena, so the workspace stops being [warm](Workspace::is_warm_for)
-    /// for ordinary delta replay; keeping the unlisted arena regions
-    /// valid is the caller's contract.
-    ///
-    /// Bit-identical to a full replay whenever every operand read holds
-    /// the value a full replay would compute: the same fused kernel
-    /// runs on the same values. The returned stats count the listed
-    /// steps (`plan_reuses = 1`).
-    ///
-    /// [`step_output_len`]: ExecutablePlan::step_output_len
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's output is not rank 0, if `net` disagrees
-    /// with the plan, if a step index is out of range, or if a supplied
-    /// buffer has the wrong length.
-    pub fn execute_network_steps_scalar<'o>(
-        &self,
-        net: &TensorNetwork,
-        steps: &[u32],
-        operand: impl Fn(usize) -> Option<&'o [Complex64]>,
-        ws: &mut Workspace,
-    ) -> (Complex64, ContractionStats) {
-        assert!(
-            self.output_shape.is_empty(),
-            "execute_network_steps_scalar requires a rank-0 output"
-        );
-        assert_eq!(
-            net.node_count(),
-            self.n_inputs,
-            "plan expects {} input tensors, got {}",
-            self.n_inputs,
-            net.node_count()
-        );
-        self.run_steps(|i| net.node_tensor(i).as_slice(), steps, operand, ws)
-    }
-
     fn run<'w, 'i>(
         &self,
         input: impl Fn(usize) -> &'i [Complex64],
@@ -637,9 +681,9 @@ impl ExecutablePlan {
             return &ws.out[..1];
         }
         for step in &self.steps {
-            self.exec_step(step, &input, &from_arena, &mut ws.arena);
+            self.exec_step(step, &input, &mut ws.arena);
         }
-        self.finalize(&input, &from_arena, &ws.arena, &mut ws.out);
+        self.finalize(&input, &ws.arena, &mut ws.out);
         // The arena now caches every intermediate of this plan — the
         // workspace is warm for delta replay.
         ws.warm_for = Some(self.id);
@@ -687,48 +731,14 @@ impl ExecutablePlan {
         };
         for &si in &dirty_steps {
             let step = &self.steps[si as usize];
-            self.exec_step(step, &input, &from_arena, &mut ws.arena);
+            self.exec_step(step, &input, &mut ws.arena);
             stats.contractions += 1;
             stats.flops_proxy += step.flops;
         }
-        self.finalize(&input, &from_arena, &ws.arena, &mut ws.out);
+        self.finalize(&input, &ws.arena, &mut ws.out);
         ws.dirty_steps = dirty_steps;
         crate::profile::record_delta(timer, stats.contractions as u64);
         (&ws.out[..self.result_len], stats)
-    }
-
-    /// Caller-driven partial replay behind
-    /// [`ExecutablePlan::execute_network_steps_scalar`].
-    // qns-lint: zero-alloc
-    fn run_steps<'i, 'o>(
-        &self,
-        input: impl Fn(usize) -> &'i [Complex64],
-        steps: &[u32],
-        operand: impl Fn(usize) -> Option<&'o [Complex64]>,
-        ws: &mut Workspace,
-    ) -> (Complex64, ContractionStats) {
-        let timer = crate::profile::start_replay();
-        ws.ensure(self);
-        // Only the listed steps are rewritten: the arena no longer
-        // caches a consistent tree for ordinary delta replay.
-        ws.warm_for = None;
-        let mut stats = ContractionStats {
-            plan_reuses: 1,
-            max_intermediate: self.replay_stats.max_intermediate,
-            ..Default::default()
-        };
-        if self.n_inputs == 0 {
-            return (Complex64::ONE, stats);
-        }
-        for &si in steps {
-            let step = &self.steps[si as usize];
-            self.exec_step(step, &input, &operand, &mut ws.arena);
-            stats.contractions += 1;
-            stats.flops_proxy += step.flops;
-        }
-        self.finalize(&input, &operand, &ws.arena, &mut ws.out);
-        crate::profile::record_delta(timer, stats.contractions as u64);
-        (ws.out[0], stats)
     }
 
     /// Runs one lowered step: the fused kernel reads both operands in
@@ -736,17 +746,16 @@ impl ExecutablePlan {
     /// arena region. Operand regions lie below the destination (bump
     /// layout in step order), so one split borrows them disjointly.
     // qns-lint: zero-alloc
-    fn exec_step<'i, 'o>(
+    fn exec_step<'i>(
         &self,
         step: &ExecStep,
         input: &impl Fn(usize) -> &'i [Complex64],
-        operand: &impl Fn(usize) -> Option<&'o [Complex64]>,
         arena: &mut [Complex64],
     ) {
         let (below, from_dst) = arena.split_at_mut(step.dst_offset);
         let dst = &mut from_dst[..step.dst_len()];
-        let a = self.slot(step.lhs, input, operand, below);
-        let b = self.slot(step.rhs, input, operand, below);
+        let a = self.slot(step.lhs, input, below);
+        let b = self.slot(step.rhs, input, below);
         matmul_gather_into(
             step.lhs_tables.over(a),
             step.rhs_tables.over(b),
@@ -755,14 +764,13 @@ impl ExecutablePlan {
         );
     }
 
-    /// The buffer behind `loc`: an input tensor, the caller's
-    /// replacement for a step output, or the step's arena region.
+    /// The buffer behind `loc`: an input tensor or the step's arena
+    /// region.
     // qns-lint: zero-alloc
-    fn slot<'a, 'i: 'a, 'o: 'a>(
+    fn slot<'a, 'i: 'a>(
         &self,
         loc: SlotLoc,
         input: &impl Fn(usize) -> &'i [Complex64],
-        operand: &impl Fn(usize) -> Option<&'o [Complex64]>,
         arena: &'a [Complex64],
     ) -> &'a [Complex64] {
         match loc {
@@ -771,13 +779,15 @@ impl ExecutablePlan {
                 assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
                 s
             }
-            SlotLoc::Step { step, offset, len } => match operand(step) {
-                Some(s) => {
-                    assert_eq!(s.len(), len, "supplied operand {step} length");
-                    s
-                }
-                None => &arena[offset..offset + len],
-            },
+            SlotLoc::Step { offset, len, .. } => &arena[offset..offset + len],
+        }
+    }
+
+    /// Element count of the value in slot `loc`.
+    fn slot_len(&self, loc: SlotLoc) -> usize {
+        match loc {
+            SlotLoc::Input(i) => self.input_lens[i],
+            SlotLoc::Step { len, .. } => len,
         }
     }
 
@@ -785,14 +795,13 @@ impl ExecutablePlan {
     /// (applying the open-leg output permutation when present). Always
     /// rerun — even by delta replay, whose dirty set may be empty.
     // qns-lint: zero-alloc
-    fn finalize<'i, 'o>(
+    fn finalize<'i>(
         &self,
         input: &impl Fn(usize) -> &'i [Complex64],
-        operand: &impl Fn(usize) -> Option<&'o [Complex64]>,
         arena: &[Complex64],
         out: &mut [Complex64],
     ) {
-        let res = self.slot(self.result, input, operand, arena);
+        let res = self.slot(self.result, input, arena);
         let out = &mut out[..self.result_len];
         match &self.out_gather {
             Some(table) => {
@@ -931,55 +940,84 @@ mod tests {
     }
 
     #[test]
-    fn steps_entry_reads_supplied_operands_bit_identically() {
-        // Close the chain into a ring so the plan is rank 0.
+    fn batched_step_matches_replays_of_each_operand_pair() {
+        // A ring, so the plan is rank 0 and the root's children split
+        // the leaves into two disjoint subtrees.
         let mut rng = StdRng::seed_from_u64(25);
         let shapes = [vec![2, 3], vec![3, 4], vec![4, 3], vec![3, 2]];
-        let mut net = TensorNetwork::new();
-        let legs: Vec<usize> = (0..4).map(|_| net.fresh_leg()).collect();
-        for (i, s) in shapes.iter().enumerate() {
-            net.add(
-                rand_tensor(&mut rng, s.clone()),
-                vec![legs[i], legs[(i + 1) % 4]],
-            );
-        }
-        let exec = net.plan(OrderStrategy::Greedy).compile();
+        let ring = |rng: &mut StdRng| {
+            let mut net = TensorNetwork::new();
+            let legs: Vec<usize> = (0..4).map(|_| net.fresh_leg()).collect();
+            for (i, s) in shapes.iter().enumerate() {
+                net.add(
+                    rand_tensor(rng, s.clone()),
+                    vec![legs[i], legs[(i + 1) % 4]],
+                );
+            }
+            net
+        };
+        let variants: Vec<TensorNetwork> = (0..3).map(|_| ring(&mut rng)).collect();
+        let exec = variants[0].plan(OrderStrategy::Greedy).compile();
         let root = exec.step_count() - 1;
-        let mut ws = Workspace::new();
-        let full = exec.execute_network_scalar(&net, &mut ws);
-        let saved: Vec<Vec<Complex64>> = (0..exec.step_count())
-            .map(|s| exec.step_output(s, &ws).to_vec())
-            .collect();
-        assert_eq!(saved[root], vec![full]);
-
-        // Clobber the arena, then rerun only the root with every child
-        // step supplied: same bits, one contraction, workspace cooled.
-        let mut other = net.clone();
-        for i in 0..4 {
-            other.set_tensor(other.node_id(i), rand_tensor(&mut rng, shapes[i].clone()));
+        let [l, r] = exec.step_children(root);
+        // Value of `slot` in `net` after a full replay.
+        let value = |net: &TensorNetwork, slot: usize| -> Vec<Complex64> {
+            let mut ws = Workspace::new();
+            let _ = exec.execute_network_scalar(net, &mut ws);
+            if slot < exec.n_inputs() {
+                net.node_tensor(slot).as_slice().to_vec()
+            } else {
+                exec.step_output(slot - exec.n_inputs(), &ws).to_vec()
+            }
+        };
+        let under = |leaf: usize, slot: usize| {
+            leaf == slot
+                || (slot >= exec.n_inputs()
+                    && exec
+                        .leaf_path(leaf)
+                        .contains(&((slot - exec.n_inputs()) as u32)))
+        };
+        // Two lhs values padded to a stride of len + 1, three packed
+        // rhs values.
+        let len_l = value(&variants[0], l).len();
+        let mut lhs = Vec::new();
+        for net in &variants[..2] {
+            lhs.extend(value(net, l));
+            lhs.push(Complex64::ZERO);
         }
-        let _ = exec.execute_network_scalar(&other, &mut ws);
-        let allocs = ws.allocation_events();
-        let (val, stats) = exec.execute_network_steps_scalar(
-            &net,
-            &[root as u32],
-            |s| Some(saved[s].as_slice()),
-            &mut ws,
+        let rhs: Vec<Complex64> = variants.iter().flat_map(|net| value(net, r)).collect();
+        let mut dst = vec![Complex64::ZERO; 6];
+        let stats = exec.execute_step_batch(
+            root,
+            Batch {
+                data: &lhs,
+                stride: len_l + 1,
+                count: 2,
+            },
+            Batch {
+                data: &rhs,
+                stride: rhs.len() / 3,
+                count: 3,
+            },
+            &mut dst,
         );
-        assert_eq!(val, full);
         assert_eq!(stats.contractions, 1);
-        assert_eq!(stats.plan_reuses, 1);
-        assert!(!ws.is_warm_for(&exec));
-        assert_eq!(ws.allocation_events(), allocs);
-
-        // Running every step with nothing supplied is a full replay.
-        let all: Vec<u32> = (0..exec.step_count() as u32).collect();
-        let (val, stats) = exec.execute_network_steps_scalar(&net, &all, |_| None, &mut ws);
-        assert_eq!(val, full);
-        assert_eq!(stats.flops_proxy, exec.replay_stats().flops_proxy);
-        // A cooled workspace makes the next delta replay a full one.
-        let (_, stats) = exec.execute_network_delta_scalar(&net, &[], &mut ws);
-        assert_eq!(stats.contractions, exec.step_count());
+        assert_eq!(stats.plan_reuses, 0);
+        for i in 0..2 {
+            for j in 0..3 {
+                // The network whose lhs subtree comes from variant i
+                // and everything else from variant j.
+                let mut net = variants[j].clone();
+                for leaf in 0..exec.n_inputs() {
+                    if under(leaf, l) {
+                        net.set_tensor(net.node_id(leaf), variants[i].node_tensor(leaf).clone());
+                    }
+                }
+                let mut ws = Workspace::new();
+                let expect = exec.execute_network_scalar(&net, &mut ws);
+                assert_eq!(dst[i * 3 + j], expect, "pair ({i}, {j})");
+            }
+        }
     }
 
     #[test]
